@@ -212,9 +212,11 @@ def _train_single(spec: ExperimentSpec, checkpoint: str | None,
 def _evaluate_checkpoint(spec: ExperimentSpec, checkpoint: str) -> int:
     model = load_checkpoint(checkpoint)
     split = prepared_split(spec)
+    _, loss = loss_config_for(spec, spec.losses[0], spec.approximation)
     preds = forward(model, split.test.features)
     table = evaluate_over_grid(LabeledBatch(preds, split.test.labels),
-                               spec.tau_grid, beta=spec.beta)
+                               loss.tau_grid, beta=loss.beta,
+                               epsilon=loss.epsilon)
     text = table.to_json() if spec.format == "json" else table.to_tsv()
     _emit(text, spec.out)
     return 0

@@ -19,10 +19,11 @@ constant of the loss, never trained.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .heaviside import heaviside_exact
+from .heaviside import ApproximationStack, heaviside_exact
 
 
 @dataclass(frozen=True)
@@ -86,66 +87,72 @@ class SoftCountGrads:
     tn: np.ndarray
 
 
-def _branch_masks(preds, labels, tau):
-    positive = labels == 1.0
-    below = preds < tau
-    return positive, below
+# Sign with which the surrogate h enters each soft cell (columns tp, fp, fn,
+# tn) for each branch group 2 * label + (p < tau): +1 where the cell takes
+# h(p), -1 where it takes 1 - h(p).
+CELL_SIGNS = np.array([
+    [-1.0, 1.0, -1.0, -1.0],   # negative, p >= tau
+    [1.0, 1.0, 1.0, -1.0],     # negative, p < tau
+    [1.0, -1.0, -1.0, -1.0],   # positive, p >= tau
+    [1.0, 1.0, -1.0, 1.0],     # positive, p < tau
+])
+_TAKES_H = (CELL_SIGNS > 0.0).astype(float)
+_TAKES_COMPLEMENT = 1.0 - _TAKES_H
 
 
-def _soft_memberships(preds, labels, approx):
-    """Vectorized per-sample soft weights (tp, fp, fn, tn)."""
-    h = np.asarray(approx.value(preds))
-    positive, below = _branch_masks(preds, labels, approx.tau)
-    tp = np.where(positive | below, h, 1.0 - h)
-    fp = np.where(~positive | below, h, 1.0 - h)
-    fn = np.where(positive | ~below, 1.0 - h, h)
-    tn = np.where(~positive | ~below, 1.0 - h, h)
-    return tp, fp, fn, tn
+class SoftConfusion(NamedTuple):
+    """Soft counts at T thresholds plus what their gradient needs.
+
+    ``counts`` is (T, 4) with columns tp, fp, fn, tn. ``cells`` gives each
+    (threshold t, sample) pair its flat group id 4 t + 2 label + (p < tau_t)
+    and ``slopes`` the surrogate derivative there, both (T, n).
+    """
+
+    counts: np.ndarray
+    cells: np.ndarray
+    slopes: np.ndarray
+
+    def grad(self, d_counts) -> np.ndarray:
+        """Per-sample gradient of a loss, given its (T, 4) d(loss)/d(counts)."""
+        per_group = d_counts @ CELL_SIGNS.T
+        return (per_group.ravel()[self.cells] * self.slopes).sum(axis=0)
 
 
-def _single(p, y, approx, index):
-    batch = LabeledBatch(np.array([p], dtype=float), np.array([y], dtype=float))
-    return float(_soft_memberships(batch.predictions, batch.labels, approx)[index][0])
+def soft_confusion(batch: LabeledBatch,
+                   stack: ApproximationStack) -> SoftConfusion:
+    """Soft counts of ``batch`` at every threshold of an ApproximationStack.
 
-
-def tp_soft(p, y, approx) -> float:
-    """Soft true-positive weight: surrogate(p) if y=1 or p<tau, else 1-surrogate(p)."""
-    return _single(p, y, approx, 0)
-
-
-def fp_soft(p, y, approx) -> float:
-    return _single(p, y, approx, 1)
-
-
-def fn_soft(p, y, approx) -> float:
-    return _single(p, y, approx, 2)
-
-
-def tn_soft(p, y, approx) -> float:
-    return _single(p, y, approx, 3)
+    The surrogate and its derivative are evaluated once as (T, n) arrays;
+    two weighted bincounts over the group ids sum h and 1 - h per group,
+    and each cell adds the groups' sums with the signs of CELL_SIGNS.
+    """
+    h, slopes = stack.value_and_grad(batch.predictions)
+    n_cells = 4 * len(stack.tau)
+    cells = (np.arange(0, n_cells, 4)[:, None]
+             + 2 * batch.labels.astype(np.intp))
+    cells += batch.predictions < stack.tau
+    flat = cells.ravel()
+    sums_h = np.bincount(flat, h.ravel(), n_cells).reshape(-1, 4)
+    sums_rest = np.bincount(flat, (1.0 - h).ravel(), n_cells).reshape(-1, 4)
+    counts = sums_h @ _TAKES_H + sums_rest @ _TAKES_COMPLEMENT
+    return SoftConfusion(counts, cells, slopes)
 
 
 def aggregate_soft(batch: LabeledBatch, approx) -> SoftCounts:
-    """Sum per-sample soft memberships over the batch."""
-    tp, fp, fn, tn = _soft_memberships(batch.predictions, batch.labels, approx)
-    return SoftCounts(tp=float(np.sum(tp)), fp=float(np.sum(fp)),
-                      fn=float(np.sum(fn)), tn=float(np.sum(tn)))
+    """Soft counts at a single approximation's threshold."""
+    counts = soft_confusion(batch, ApproximationStack([approx])).counts[0]
+    return SoftCounts(*(float(c) for c in counts))
 
 
 def aggregate_soft_grad(batch: LabeledBatch, approx) -> SoftCountGrads:
     """d(soft count)/d(p_i) for every sample and every confusion cell.
 
-    Each entry is +surrogate'(p_i) on a surrogate branch and -surrogate'(p_i)
-    on a complement branch, mirroring the membership case tables.
+    Each entry is +surrogate'(p_i) where the cell takes the surrogate and
+    -surrogate'(p_i) where it takes the complement (see CELL_SIGNS).
     """
-    g = np.asarray(approx.grad(batch.predictions))
-    positive, below = _branch_masks(batch.predictions, batch.labels, approx.tau)
-    return SoftCountGrads(
-        tp=np.where(positive | below, g, -g),
-        fp=np.where(~positive | below, g, -g),
-        fn=np.where(positive | ~below, -g, g),
-        tn=np.where(~positive | ~below, -g, g),
-    )
+    soft = soft_confusion(batch, ApproximationStack([approx]))
+    per_cell = CELL_SIGNS[soft.cells[0]] * soft.slopes[0][:, None]
+    return SoftCountGrads(*per_cell.T)
 
 
 def aggregate_hard(batch: LabeledBatch, tau: float) -> HardCounts:

@@ -143,7 +143,8 @@ def load_csv(path, label_column: str, positive_value: str):
 
     Every column except ``label_column`` must parse as a finite float; a row
     with any missing or unparseable feature cell (or a missing label) is
-    dropped. Returns (dataset, number_of_rejected_rows).
+    dropped. A file whose usable rows are all positive or all negative
+    is refused. Returns (dataset, number_of_rejected_rows).
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -182,6 +183,9 @@ def load_csv(path, label_column: str, positive_value: str):
             labels.append(1.0 if label_cell == positive_value else 0.0)
     if not rows:
         raise ValueError(f"{path}: no usable data rows (rejected {rejected})")
+    if sum(labels) in (0, len(labels)):
+        raise ValueError(f"{path}: {'every' if labels[0] else 'no'} usable "
+                         f"row has {label_column} == {positive_value!r}")
     return Dataset(np.array(rows), np.array(labels)), rejected
 
 

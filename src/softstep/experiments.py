@@ -25,6 +25,7 @@ from softstep.data import (
     subsample_positives,
 )
 from softstep.metrics import (
+    APPROXIMATIONS,
     LossConfig,
     TAU_GRID_DEFAULT,
     evaluate_over_grid,
@@ -35,7 +36,6 @@ from softstep.training import TrainConfig, train
 
 COMMANDS = ("train", "evaluate", "batch-sweep", "loss-grid",
             "fbeta-sweep", "sigmoid-compare")
-APPROXIMATIONS = ("piecewise", "sigmoid_fit")
 BATCH_SIZES_DEFAULT = (128, 1024, 2048, 4096)
 BETAS_DEFAULT = (1.0, 2.0, 3.0)
 

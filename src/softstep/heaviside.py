@@ -12,7 +12,7 @@ surrogate serves as a comparison baseline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 
 import numpy as np
@@ -90,38 +90,34 @@ def heaviside_exact(p, tau: float):
     return _scalar_or_array(out, p)
 
 
-def segment_slopes(params: HeavisideParams) -> tuple[float, float, float]:
-    """Slopes of the lower, middle and upper segments, all positive."""
-    return params.slope_low, params.slope_mid, params.slope_high
+def _piecewise(arr, params):
+    """Surrogate values and derivatives; params may be (T, 1) columns.
+
+    Lower segment for p < kink_low, upper for p > kink_high, middle
+    otherwise, so both kinks take the middle slope and the derivative is
+    total and strictly positive. The algebraic forms are arranged so that
+    p = 0, tau and 1 evaluate to exactly 0.0, 0.5 and 1.0 in floating point.
+    """
+    below = arr < params.kink_low
+    above = arr > params.kink_high
+    upper = 1.0 - params.delta * ((1.0 - arr) / (1.0 - params.kink_high))
+    # masked copies over the middle segment: no nested np.where temporaries
+    value = np.asarray(0.5 + params.slope_mid * (arr - params.tau))
+    np.copyto(value, upper, where=above)
+    np.copyto(value, params.delta * (arr / params.kink_low), where=below)
+    grad = np.where(below, params.slope_low,
+                    np.where(above, params.slope_high, params.slope_mid))
+    return value, grad
 
 
 def heaviside_approx(p, params: HeavisideParams):
-    """Three-segment piecewise-linear surrogate of the step at ``params.tau``.
-
-    Lower segment for p < kink_low, upper for p > kink_high, middle
-    otherwise. The algebraic forms below are arranged so that p = 0, tau
-    and 1 evaluate to exactly 0.0, 0.5 and 1.0 in floating point.
-    """
-    arr = _as_float_array(p)
-    lower = params.delta * (arr / params.kink_low)
-    upper = 1.0 - params.delta * ((1.0 - arr) / (1.0 - params.kink_high))
-    middle = 0.5 + params.slope_mid * (arr - params.tau)
-    out = np.where(arr < params.kink_low, lower,
-                   np.where(arr > params.kink_high, upper, middle))
-    return _scalar_or_array(out, p)
+    """Three-segment piecewise-linear surrogate of the step at ``params.tau``."""
+    return _scalar_or_array(_piecewise(_as_float_array(p), params)[0], p)
 
 
 def heaviside_approx_grad(p, params: HeavisideParams):
-    """Derivative of the surrogate: the active segment's slope.
-
-    Both kinks fall to the middle case (the outer segments are selected by
-    strict inequalities), so the derivative is total and strictly positive.
-    """
-    arr = _as_float_array(p)
-    out = np.where(arr < params.kink_low, params.slope_low,
-                   np.where(arr > params.kink_high, params.slope_high,
-                            params.slope_mid))
-    return _scalar_or_array(out, p)
+    """Derivative of the surrogate: the active segment's slope."""
+    return _scalar_or_array(_piecewise(_as_float_array(p), params)[1], p)
 
 
 @dataclass(frozen=True)
@@ -219,27 +215,27 @@ class SigmoidFit:
 
 def _logistic(z):
     z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # exp of a non-positive argument cannot overflow; each branch is the
+    # usual stable form for its sign of z
+    e = np.exp(-np.abs(z))
+    denominator = 1.0 + e
+    return np.where(z >= 0, 1.0 / denominator, e / denominator)
+
+
+def _sigmoid(arr, fit):
+    """Logistic values and their derivatives k * s * (1 - s) at ``arr``."""
+    s = _logistic(fit.k * (arr - fit.tau))
+    return s, fit.k * s * (1.0 - s)
 
 
 def sigmoid_approx(p, fit: SigmoidFit):
     """Evaluate the fitted logistic; overflow-safe for any k."""
-    arr = _as_float_array(p)
-    out = _logistic(fit.k * (arr - fit.tau))
-    return _scalar_or_array(out, p)
+    return _scalar_or_array(_sigmoid(_as_float_array(p), fit)[0], p)
 
 
 def sigmoid_approx_grad(p, fit: SigmoidFit):
     """Analytic derivative k * s * (1 - s) of the fitted logistic."""
-    arr = _as_float_array(p)
-    s = _logistic(fit.k * (arr - fit.tau))
-    out = fit.k * s * (1.0 - s)
-    return _scalar_or_array(out, p)
+    return _scalar_or_array(_sigmoid(_as_float_array(p), fit)[1], p)
 
 
 def _logistic_sse(grid, target, k, center):
@@ -320,3 +316,33 @@ def cached_approximation(family: str, tau: float, delta: float):
     if family == "sigmoid_fit":
         return fit_sigmoid(params)
     raise ValueError(f"unknown approximation family: {family!r}")
+
+
+class ApproximationStack:
+    """Approximations of one family, evaluated at T thresholds in one pass.
+
+    Each member parameter becomes a read-only (T, 1) column, which
+    broadcasts a length-n prediction vector to (T, n). ``tau`` holds the
+    branch thresholds: tau itself, or the fitted center of a SigmoidFit.
+    """
+
+    def __init__(self, members):
+        members = tuple(members)
+        for param in fields(members[0]):
+            column = np.array([[getattr(m, param.name)] for m in members])
+            column.flags.writeable = False
+            setattr(self, param.name, column)
+        self.piecewise = isinstance(members[0], HeavisideParams)
+
+    def value_and_grad(self, p):
+        """Surrogate values and derivatives at 1-D ``p``, each (T, len(p))."""
+        evaluate = _piecewise if self.piecewise else _sigmoid
+        return evaluate(_as_float_array(p), self)
+
+
+@lru_cache(maxsize=64)
+def cached_stack(family: str, taus: tuple[float, ...],
+                 delta: float) -> ApproximationStack:
+    """The stack of ``cached_approximation`` over ``taus``, built once."""
+    return ApproximationStack(cached_approximation(family, tau, delta)
+                              for tau in taus)

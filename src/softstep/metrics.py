@@ -18,13 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .confusion import (
-    LabeledBatch,
-    aggregate_hard,
-    aggregate_soft,
-    aggregate_soft_grad,
-)
-from .heaviside import cached_approximation
+from .confusion import LabeledBatch, aggregate_hard, soft_confusion
+from .heaviside import cached_stack
 
 EPSILON_DEFAULT = 1e-7
 TAU_GRID_DEFAULT = tuple(i / 10 for i in range(1, 10))
@@ -122,59 +117,37 @@ def f_beta(counts, beta: float = 1.0, tau=None,
     return _guarded(f"f_{beta:g}", num, den, tau, epsilon)
 
 
-def _approximation_for(config: LossConfig, tau: float):
-    return cached_approximation(config.approximation, tau, config.delta)
-
-
-def _fbeta_loss_at(batch, config, tau):
-    approx = _approximation_for(config, tau)
-    counts = aggregate_soft(batch, approx)
-    grads = aggregate_soft_grad(batch, approx)
-    b2 = config.beta * config.beta
-    den = (1.0 + b2) * counts.tp + b2 * counts.fn + counts.fp + config.epsilon
-    value = (1.0 + b2) * counts.tp / den
-    d_tp = (1.0 + b2) * (b2 * counts.fn + counts.fp + config.epsilon) / den ** 2
-    d_fn = -(1.0 + b2) * counts.tp * b2 / den ** 2
-    d_fp = -(1.0 + b2) * counts.tp / den ** 2
-    grad = -(d_tp * grads.tp + d_fp * grads.fp + d_fn * grads.fn)
-    return 1.0 - value, grad
-
-
-def _accuracy_loss_at(batch, config, tau):
-    approx = _approximation_for(config, tau)
-    counts = aggregate_soft(batch, approx)
-    grads = aggregate_soft_grad(batch, approx)
-    num = counts.tp + counts.tn
-    den = counts.tp + counts.tn + counts.fp + counts.fn + config.epsilon
-    value = num / den
-    d_correct = (den - num) / den ** 2
-    d_wrong = -num / den ** 2
-    grad = -(d_correct * (grads.tp + grads.tn) + d_wrong * (grads.fp + grads.fn))
-    return 1.0 - value, grad
-
-
-def _grid_averaged(per_tau_fn, batch, config):
-    if config.average_over_grid:
-        taus = config.tau_grid
-    else:
-        taus = (config.tau_train,)
-    total = 0.0
-    grad = np.zeros(batch.n)
-    for tau in taus:
-        loss_t, grad_t = per_tau_fn(batch, config, tau)
-        total += loss_t
-        grad += grad_t
-    return total / len(taus), grad / len(taus)
+def _soft_confusion(batch, config, over_grid):
+    taus = config.tau_grid if over_grid else (config.tau_train,)
+    stack = cached_stack(config.approximation, tuple(taus), config.delta)
+    return soft_confusion(batch, stack)
 
 
 def fbeta_loss(batch: LabeledBatch, config: LossConfig):
-    """1 - soft F-beta and its gradient with respect to predictions."""
-    return _grid_averaged(_fbeta_loss_at, batch, config)
+    """1 - soft F-beta (averaged over thresholds) and its gradient."""
+    soft = _soft_confusion(batch, config, config.average_over_grid)
+    tp, fp, fn, _ = soft.counts.T
+    b2 = config.beta * config.beta
+    den = (1.0 + b2) * tp + b2 * fn + fp + config.epsilon
+    value = (1.0 + b2) * tp / den
+    scale = (1.0 + b2) / (len(den) * den ** 2)
+    d_counts = np.array((-(b2 * fn + fp + config.epsilon) * scale,
+                         tp * scale, b2 * tp * scale, np.zeros_like(tp))).T
+    return 1.0 - float(value.sum()) / len(value), soft.grad(d_counts)
 
 
 def accuracy_loss(batch: LabeledBatch, config: LossConfig):
-    """1 - soft accuracy and its gradient with respect to predictions."""
-    return _grid_averaged(_accuracy_loss_at, batch, config)
+    """1 - soft accuracy (averaged over thresholds) and its gradient."""
+    soft = _soft_confusion(batch, config, config.average_over_grid)
+    tp, fp, fn, tn = soft.counts.T
+    correct = tp + tn
+    den = correct + fp + fn + config.epsilon
+    value = correct / den
+    scale = 1.0 / (len(den) * den ** 2)
+    d_correct = (correct - den) * scale
+    d_wrong = correct * scale
+    d_counts = np.array((d_correct, d_wrong, d_wrong, d_correct)).T
+    return 1.0 - float(value.sum()) / len(value), soft.grad(d_counts)
 
 
 def _require_both_classes(batch):
@@ -194,38 +167,24 @@ def auroc_soft_loss(batch: LabeledBatch, config: LossConfig):
     the predictions.
     """
     _require_both_classes(batch)
+    soft = _soft_confusion(batch, config, over_grid=True)
+    tp, fp, fn, tn = soft.counts.T
     eps = config.epsilon
-    n_grid = len(config.tau_grid)
-    xs = np.zeros(n_grid + 2)
-    ys = np.zeros(n_grid + 2)
-    xs[-1] = ys[-1] = 1.0
-    d_x = []  # per grid point: gradient of FPR wrt each prediction
-    d_y = []
-    for k, tau in enumerate(config.tau_grid):
-        approx = _approximation_for(config, tau)
-        counts = aggregate_soft(batch, approx)
-        grads = aggregate_soft_grad(batch, approx)
-        fpr_den = counts.fp + counts.tn + eps
-        tpr_den = counts.tp + counts.fn + eps
-        xs[k + 1] = counts.fp / fpr_den
-        ys[k + 1] = counts.tp / tpr_den
-        d_x.append(((counts.tn + eps) * grads.fp - counts.fp * grads.tn)
-                   / fpr_den ** 2)
-        d_y.append(((counts.fn + eps) * grads.tp - counts.tp * grads.fn)
-                   / tpr_den ** 2)
-    order = np.concatenate(([0], 1 + np.argsort(xs[1:-1], kind="stable"),
-                            [n_grid + 1]))
-    x_sorted = xs[order]
-    y_sorted = ys[order]
-    area = float(np.trapezoid(y_sorted, x_sorted))
-    grad = np.zeros(batch.n)
-    # trapezoid area derivative at interior vertex j, neighbors fixed
-    for pos in range(1, n_grid + 1):
-        k = order[pos] - 1
-        da_dx = 0.5 * (y_sorted[pos - 1] - y_sorted[pos + 1])
-        da_dy = 0.5 * (x_sorted[pos + 1] - x_sorted[pos - 1])
-        grad += da_dx * d_x[k] + da_dy * d_y[k]
-    return 1.0 - area, -grad
+    fpr_den = fp + tn + eps
+    tpr_den = tp + fn + eps
+    fpr = fp / fpr_den
+    order = np.argsort(fpr, kind="stable")
+    xs = np.concatenate(([0.0], fpr[order], [1.0]))
+    ys = np.concatenate(([0.0], (tp / tpr_den)[order], [1.0]))
+    area = float(np.trapezoid(ys, xs))
+    # trapezoid area derivative at each interior vertex, neighbors fixed,
+    # in threshold order and divided by the rate denominators
+    unsort = np.argsort(order)
+    da_dx = 0.5 * (ys[:-2] - ys[2:])[unsort] / fpr_den ** 2
+    da_dy = 0.5 * (xs[2:] - xs[:-2])[unsort] / tpr_den ** 2
+    d_counts = np.array((-(fn + eps) * da_dy, -(tn + eps) * da_dx,
+                         tp * da_dy, fp * da_dx)).T
+    return 1.0 - area, soft.grad(d_counts)
 
 
 def bce_loss(batch: LabeledBatch, config: LossConfig | None = None):

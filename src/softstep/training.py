@@ -181,7 +181,7 @@ def train(model: MlpModel, split: SplitDataset, config: TrainConfig,
     model.set_parameters(best_params)
     test_preds = forward(model, split.test.features, train_mode=False)
     final = evaluate_over_grid(LabeledBatch(test_preds, split.test.labels),
-                               beta=config.loss.beta,
+                               config.loss.tau_grid, beta=config.loss.beta,
                                epsilon=config.loss.epsilon)
     return TrainReport(
         train_loss=tuple(train_hist),

@@ -175,6 +175,35 @@ def test_train_then_evaluate_roundtrip(tmp_path, capsys):
     assert eval_out.read_text().startswith("metric\ttau\tvalue\tdefined")
 
 
+def test_train_and_evaluate_tables_match_for_the_same_flags(tmp_path):
+    ckpt = tmp_path / "model.ckpt"
+    flags = ["--dataset", TOY_DATA, "--loss", "f_2", "--tau-grid", "0.3,0.6",
+             *FAST]
+    trained, evaluated = tmp_path / "train.tsv", tmp_path / "eval.tsv"
+    assert main(["train", *flags, "--checkpoint", str(ckpt),
+                 "--out", str(trained)]) == 0
+    assert main(["evaluate", *flags, "--checkpoint", str(ckpt),
+                 "--out", str(evaluated)]) == 0
+    assert trained.read_bytes() == evaluated.read_bytes()
+    rows = [line.split("\t") for line in trained.read_text().splitlines()]
+    assert {row[1] for row in rows[1:] if row[0] != "auroc"} == {
+        "0.3", "0.6", "mean"}
+    assert {row[0] for row in rows[1:]} == {
+        "accuracy", "precision", "recall", "f_2", "auroc"}
+
+
+@pytest.mark.parametrize("labels, which", [("neg", "no"), ("pos", "every")])
+def test_train_refuses_single_class_csv(tmp_path, capsys, labels, which):
+    path = tmp_path / "one_class.csv"
+    path.write_text("x,y,label\n" + "".join(
+        f"{i},{2 * i},{labels}\n" for i in range(40)))
+    code = main(["train", "--dataset", str(path), "--label-column", "label",
+                 "--positive-value", "pos", *FAST])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"{which} usable row has label == 'pos'" in err
+
+
 def test_train_artifact_deterministic(tmp_path):
     argv = ["train", "--dataset", TOY_DATA, "--loss", "accuracy", *FAST,
             "--format", "json"]

@@ -8,10 +8,6 @@ from softstep.confusion import (
     aggregate_hard,
     aggregate_soft,
     aggregate_soft_grad,
-    fn_soft,
-    fp_soft,
-    tn_soft,
-    tp_soft,
 )
 from softstep.heaviside import HeavisideParams, fit_sigmoid
 
@@ -19,8 +15,17 @@ from softstep.heaviside import HeavisideParams, fit_sigmoid
 P_DEFAULT = HeavisideParams(0.5, 0.1)
 
 
+CELLS = ("tp", "fp", "fn", "tn")
+
+
 def random_batch(rng, n):
     return LabeledBatch(rng.uniform(0.0, 1.0, n), rng.integers(0, 2, n))
+
+
+def memberships(p, y, approx=P_DEFAULT):
+    """The four soft cells of one sample: soft counts of a one-sample batch."""
+    return aggregate_soft(LabeledBatch(np.array([p], dtype=float),
+                                       np.array([y], dtype=float)), approx)
 
 
 # ------------------------------------------------------------------- batches
@@ -45,10 +50,10 @@ def test_batch_validation():
 
 
 def test_tp_soft_examples():
-    assert tp_soft(1.0, 1, P_DEFAULT) == 1.0
-    assert tp_soft(0.0, 1, P_DEFAULT) == 0.0
-    assert tp_soft(0.75, 1, P_DEFAULT) == pytest.approx(0.9, abs=1e-12)
-    assert fn_soft(0.75, 1, P_DEFAULT) == pytest.approx(0.1, abs=1e-12)
+    assert memberships(1.0, 1).tp == 1.0
+    assert memberships(0.0, 1).tp == 0.0
+    assert memberships(0.75, 1).tp == pytest.approx(0.9, abs=1e-12)
+    assert memberships(0.75, 1).fn == pytest.approx(0.1, abs=1e-12)
 
 
 def test_soft_membership_branch_table():
@@ -56,50 +61,51 @@ def test_soft_membership_branch_table():
     p_hi, p_lo = 0.75, 0.25
     h_hi = P_DEFAULT.value(p_hi)   # 0.9
     h_lo = P_DEFAULT.value(p_lo)   # 0.1
-    assert tp_soft(p_hi, 1, P_DEFAULT) == pytest.approx(h_hi)
-    assert fp_soft(p_hi, 1, P_DEFAULT) == pytest.approx(1 - h_hi)
-    assert fn_soft(p_hi, 1, P_DEFAULT) == pytest.approx(1 - h_hi)
-    assert tn_soft(p_hi, 1, P_DEFAULT) == pytest.approx(1 - h_hi)
-    assert tp_soft(p_lo, 0, P_DEFAULT) == pytest.approx(h_lo)
-    assert fp_soft(p_lo, 0, P_DEFAULT) == pytest.approx(h_lo)
+    hi = memberships(p_hi, 1)
+    assert hi.tp == pytest.approx(h_hi)
+    assert hi.fp == pytest.approx(1 - h_hi)
+    assert hi.fn == pytest.approx(1 - h_hi)
+    assert hi.tn == pytest.approx(1 - h_hi)
+    lo = memberships(p_lo, 0)
+    assert lo.tp == pytest.approx(h_lo)
+    assert lo.fp == pytest.approx(h_lo)
     # fn branch "y=1 or p>=tau" is false here, so the else case applies
-    assert fn_soft(p_lo, 0, P_DEFAULT) == pytest.approx(h_lo)
-    assert tn_soft(p_lo, 0, P_DEFAULT) == pytest.approx(1 - h_lo)
+    assert lo.fn == pytest.approx(h_lo)
+    assert lo.tn == pytest.approx(1 - h_lo)
 
 
 def test_soft_membership_cross_class_contribution():
     # a rejected negative still adds surrogate(p) to soft TP by the
     # "y=1 or p<tau" branch; this is the defined behavior, not a bug
-    assert tp_soft(0.25, 0, P_DEFAULT) == pytest.approx(0.1, abs=1e-12)
-    assert tp_soft(0.25, 0, P_DEFAULT) > 0.0
+    assert memberships(0.25, 0).tp == pytest.approx(0.1, abs=1e-12)
+    assert memberships(0.25, 0).tp > 0.0
 
 
 def test_soft_membership_range():
     rng = np.random.default_rng(61)
     for _ in range(20):
         batch = random_batch(rng, 64)
-        for fn in (tp_soft, fp_soft, fn_soft, tn_soft):
-            for p, y in zip(batch.predictions, batch.labels):
-                v = fn(p, y, P_DEFAULT)
-                assert 0.0 <= v <= 1.0
+        for p, y in zip(batch.predictions, batch.labels):
+            cells = memberships(p, y)
+            for field in CELLS:
+                assert 0.0 <= getattr(cells, field) <= 1.0
 
 
 def test_soft_membership_continuous_at_threshold():
     # both branch expressions evaluate to 0.5 at p=tau
     eps = 1e-9
-    for fn in (tp_soft, fp_soft, fn_soft, tn_soft):
-        for y in (0, 1):
-            at = fn(0.5, y, P_DEFAULT)
-            just_below = fn(0.5 - eps, y, P_DEFAULT)
-            assert at == pytest.approx(0.5, abs=1e-12)
-            assert abs(at - just_below) < 1e-8
+    for y in (0, 1):
+        at = memberships(0.5, y)
+        just_below = memberships(0.5 - eps, y)
+        for field in CELLS:
+            assert getattr(at, field) == pytest.approx(0.5, abs=1e-12)
+            assert abs(getattr(at, field) - getattr(just_below, field)) < 1e-8
 
 
 def test_membership_does_not_sum_to_one():
     # the four soft cells of one sample are not a partition of 1
-    p, y = 0.5, 1
-    total = (tp_soft(p, y, P_DEFAULT) + fp_soft(p, y, P_DEFAULT)
-             + fn_soft(p, y, P_DEFAULT) + tn_soft(p, y, P_DEFAULT))
+    cells = memberships(0.5, 1)
+    total = cells.tp + cells.fp + cells.fn + cells.tn
     assert total == pytest.approx(2.0, abs=1e-12)
 
 
@@ -207,7 +213,7 @@ def test_soft_paths_accept_fitted_sigmoid():
         assert np.all(np.isfinite(getattr(grads, field)))
     # the fitted curve crosses 0.5 at its own center, so the branch switch
     # stays continuous there as well
-    assert tp_soft(fit.tau, 1, fit) == pytest.approx(0.5, abs=1e-12)
+    assert memberships(fit.tau, 1, fit).tp == pytest.approx(0.5, abs=1e-12)
 
 
 # -------------------------------------------------------------- hard counts

@@ -204,6 +204,16 @@ def test_load_csv_errors(tmp_path):
         load_csv(only_label, "label", "1")
 
 
+def test_load_csv_refuses_a_single_class(tmp_path):
+    path = tmp_path / "one_class.csv"
+    path.write_text("x,label\n1.0,pos\n2.0,pos\nbad,neg\n")
+    with pytest.raises(ValueError, match="no usable row has label == 'yes'"):
+        load_csv(path, "label", "yes")
+    # the only negative row is rejected, so every usable row is positive
+    with pytest.raises(ValueError, match="every usable row has label == 'pos'"):
+        load_csv(path, "label", "pos")
+
+
 # -------------------------------------------------------------------- split
 
 

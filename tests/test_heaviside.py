@@ -15,7 +15,6 @@ from softstep.heaviside import (
     heaviside_approx_grad,
     heaviside_exact,
     lookup,
-    segment_slopes,
     sigmoid_approx,
     sigmoid_approx_grad,
 )
@@ -55,14 +54,16 @@ def test_exact_step_vectorized():
 
 
 def test_segment_slopes_symmetric_case():
-    m1, m2, m3 = segment_slopes(HeavisideParams(0.5, 0.1))
+    params = HeavisideParams(0.5, 0.1)
+    m1, m2, m3 = params.slope_low, params.slope_mid, params.slope_high
     assert m1 == pytest.approx(0.4, abs=1e-15)
     assert m2 == pytest.approx(1.6, abs=1e-15)
     assert m3 == pytest.approx(0.4, abs=1e-15)
 
 
 def test_segment_slopes_asymmetric_case():
-    m1, m2, m3 = segment_slopes(HeavisideParams(0.7, 0.1))
+    params = HeavisideParams(0.7, 0.1)
+    m1, m2, m3 = params.slope_low, params.slope_mid, params.slope_high
     assert m1 == pytest.approx(0.1 / 0.55, rel=1e-12)
     assert m2 == pytest.approx(0.8 / 0.3, rel=1e-12)
     assert m3 == pytest.approx(0.1 / 0.15, rel=1e-12)
@@ -72,7 +73,8 @@ def test_slopes_positive_for_random_params():
     rng = np.random.default_rng(7)
     for _ in range(200):
         params = random_params(rng)
-        for slope in segment_slopes(params):
+        for slope in (params.slope_low, params.slope_mid,
+                      params.slope_high):
             assert slope > 0.0 and np.isfinite(slope)
 
 
@@ -219,7 +221,8 @@ def test_lookup_error_bounded_by_slope_times_step():
     table = build_lookup_table(500, taus, delta=0.1)
     for tau in taus:
         params = HeavisideParams(tau, 0.1)
-        bound = max(segment_slopes(params)) * table.p_step + 1e-12
+        steepest = max(params.slope_low, params.slope_mid, params.slope_high)
+        bound = steepest * table.p_step + 1e-12
         for p in rng.uniform(0.0, 1.0, 400):
             err = abs(lookup(table, p, tau) - heaviside_approx(p, params))
             assert err <= bound
@@ -234,7 +237,8 @@ def test_quantized_table_size_and_error():
     for tau in taus:
         params = HeavisideParams(tau, 0.1)
         # truncation bound plus half a uint8 quantization step
-        bound = max(segment_slopes(params)) * table.p_step + 0.5 / 255 + 1e-12
+        steepest = max(params.slope_low, params.slope_mid, params.slope_high)
+        bound = steepest * table.p_step + 0.5 / 255 + 1e-12
         for p in rng.uniform(0.0, 1.0, 200):
             err = abs(lookup(table, p, tau) - heaviside_approx(p, params))
             assert err <= bound

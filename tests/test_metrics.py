@@ -302,20 +302,19 @@ def test_auroc_soft_area_matches_manual_trapezoid():
     # recompute the swept curve with independent loops and integrate
     rng = np.random.default_rng(139)
     config = LossConfig(objective="auroc")
-    from softstep.confusion import fn_soft, fp_soft, tn_soft, tp_soft
     for _ in range(5):
         batch = random_batch(rng, 15)
         points = [(0.0, 0.0)]
         for tau in config.tau_grid:
             params = HeavisideParams(tau, config.delta)
-            tp = sum(tp_soft(p, y, params)
-                     for p, y in zip(batch.predictions, batch.labels))
-            fp = sum(fp_soft(p, y, params)
-                     for p, y in zip(batch.predictions, batch.labels))
-            fn = sum(fn_soft(p, y, params)
-                     for p, y in zip(batch.predictions, batch.labels))
-            tn = sum(tn_soft(p, y, params)
-                     for p, y in zip(batch.predictions, batch.labels))
+            # one sample at a time: each one-sample count is its membership
+            cells = [aggregate_soft(LabeledBatch(np.array([p]), np.array([y])),
+                                    params)
+                     for p, y in zip(batch.predictions, batch.labels)]
+            tp = sum(c.tp for c in cells)
+            fp = sum(c.fp for c in cells)
+            fn = sum(c.fn for c in cells)
+            tn = sum(c.tn for c in cells)
             points.append((fp / (fp + tn + config.epsilon),
                            tp / (tp + fn + config.epsilon)))
         points.append((1.0, 1.0))
