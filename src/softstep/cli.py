@@ -29,11 +29,12 @@ from softstep.experiments import (
     run_fbeta_sweep,
     run_loss_grid,
     run_sigmoid_compare,
+    train_config_for,
     trial_model,
 )
 from softstep.metrics import evaluate_over_grid
 from softstep.network import forward, load_checkpoint, save_checkpoint
-from softstep.training import TrainConfig, train
+from softstep.training import train
 
 _DEFAULT_LOSSES = {
     "train": "f_1",
@@ -188,10 +189,7 @@ def _train_single(spec: ExperimentSpec, checkpoint: str | None,
     split = prepared_split(spec)
     label, loss = loss_config_for(spec, spec.losses[0], spec.approximation)
     model = trial_model(spec, split.train.dims, spec.seed)
-    config = TrainConfig(loss=loss, batch_size=spec.batch_size,
-                         max_epochs=spec.max_epochs, window=spec.window,
-                         dropout=spec.dropout, lr=spec.lr, seed=spec.seed)
-    report = train(model, split, config)
+    report = train(model, split, train_config_for(spec, loss, spec.seed))
     if checkpoint:
         save_checkpoint(model, checkpoint)
     if report_path:

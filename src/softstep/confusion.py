@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .heaviside import ApproximationStack, heaviside_exact
+from .heaviside import ApproximationStack
 
 
 @dataclass(frozen=True)
@@ -157,11 +157,8 @@ def aggregate_soft_grad(batch: LabeledBatch, approx) -> SoftCountGrads:
 
 def aggregate_hard(batch: LabeledBatch, tau: float) -> HardCounts:
     """Threshold predictions at tau (ties positive) and count the partition."""
-    predicted = np.asarray(heaviside_exact(batch.predictions, tau)) == 1.0
-    positive = batch.labels == 1.0
-    return HardCounts(
-        tp=int(np.sum(positive & predicted)),
-        fp=int(np.sum(~positive & predicted)),
-        fn=int(np.sum(positive & ~predicted)),
-        tn=int(np.sum(~positive & ~predicted)),
-    )
+    predicted = batch.predictions >= tau
+    tp = int(np.count_nonzero(batch.labels[predicted]))
+    fp = int(np.count_nonzero(predicted)) - tp
+    fn = int(np.count_nonzero(batch.labels)) - tp
+    return HardCounts(tp=tp, fp=fp, fn=fn, tn=batch.n - tp - fp - fn)

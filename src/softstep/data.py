@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import struct
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,8 +162,10 @@ def load_csv(path, label_column: str, positive_value: str):
         feature_pos = [i for i in range(len(header)) if i != label_pos]
         if not feature_pos:
             raise ValueError(f"{path}: no feature columns besides the label")
-        rows = []
-        labels = []
+        # accepted rows go straight into flat float buffers, so a large file
+        # costs no Python object per row
+        values = array("d")
+        labels = array("d")
         rejected = 0
         for cells in reader:
             if len(cells) != len(header):
@@ -176,17 +180,18 @@ def load_csv(path, label_column: str, positive_value: str):
             except ValueError:
                 rejected += 1
                 continue
-            if not all(np.isfinite(feats)):
+            if not all(map(math.isfinite, feats)):
                 rejected += 1
                 continue
-            rows.append(feats)
+            values.extend(feats)
             labels.append(1.0 if label_cell == positive_value else 0.0)
-    if not rows:
+    if not labels:
         raise ValueError(f"{path}: no usable data rows (rejected {rejected})")
     if sum(labels) in (0, len(labels)):
         raise ValueError(f"{path}: {'every' if labels[0] else 'no'} usable "
                          f"row has {label_column} == {positive_value!r}")
-    return Dataset(np.array(rows), np.array(labels)), rejected
+    features = np.frombuffer(values).reshape(len(labels), len(feature_pos))
+    return Dataset(features, np.frombuffer(labels)), rejected
 
 
 def standardize_and_split(data: Dataset,
@@ -228,21 +233,19 @@ def standardize_and_split(data: Dataset,
 
 
 def batches(data: Dataset, batch_size: int, seed: int, epoch: int):
-    """Shuffled (features, labels) mini-batches; final partial batch kept.
+    """Row indices of shuffled mini-batches; final partial batch kept.
 
     The order is keyed by (seed, epoch) so each epoch reshuffles and any
-    epoch's order can be reproduced independently.
+    epoch's order can be reproduced independently.  Callers gather the
+    batch's rows from ``data`` with the indices.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     rng = np.random.default_rng(
         np.random.SeedSequence([seed, _TAG_BATCH, epoch]))
     perm = rng.permutation(data.n)
-    out = []
-    for start in range(0, data.n, batch_size):
-        idx = perm[start:start + batch_size]
-        out.append((data.features[idx], data.labels[idx]))
-    return out
+    return [perm[start:start + batch_size]
+            for start in range(0, data.n, batch_size)]
 
 
 def save_dataset(data: Dataset, path) -> None:

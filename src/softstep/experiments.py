@@ -286,8 +286,8 @@ def loss_config_for(spec: ExperimentSpec, token: str,
                              delta=spec.delta, approximation=approximation)
 
 
-def _train_config(spec: ExperimentSpec, loss: LossConfig, seed: int,
-                  batch_size: int | None = None) -> TrainConfig:
+def train_config_for(spec: ExperimentSpec, loss: LossConfig, seed: int,
+                     batch_size: int | None = None) -> TrainConfig:
     return TrainConfig(loss=loss,
                        batch_size=batch_size or spec.batch_size,
                        max_epochs=spec.max_epochs, window=spec.window,
@@ -325,7 +325,7 @@ def _run_cell(spec: ExperimentSpec, split: SplitDataset, token: str,
     for index in range(spec.trials):
         trial_seed = spec.seed + index
         model = trial_model(spec, split.train.dims, trial_seed)
-        train(model, split, _train_config(spec, loss, trial_seed))
+        train(model, split, train_config_for(spec, loss, trial_seed))
         per_trial.append(_grid_means(model, split, spec))
     return label, per_trial
 
@@ -443,23 +443,25 @@ def run_batch_sweep(spec: ExperimentSpec) -> ResultTable:
 
 def _batch_deviations(spec: ExperimentSpec, split: SplitDataset,
                       loss: LossConfig, batch_size: int) -> list[float]:
+    labels = split.train.labels
     deviations = []
 
-    def record(model, epoch, step, features, labels):
-        batch_f1 = _hard_f1(model, features, labels, spec.tau)
-        split_f1 = _hard_f1(model, split.train.features,
-                            split.train.labels, spec.tau)
+    def record(model, epoch, step, idx):
+        # the batch's rows are rows of the train split, so one eval forward
+        # over the split scores both
+        preds = forward(model, split.train.features)
+        batch_f1 = _hard_f1(preds[idx], labels[idx], spec.tau)
+        split_f1 = _hard_f1(preds, labels, spec.tau)
         deviations.append(abs(batch_f1 - split_f1))
 
     model = trial_model(spec, split.train.dims, spec.seed)
-    train(model, split, _train_config(spec, loss, spec.seed, batch_size),
+    train(model, split, train_config_for(spec, loss, spec.seed, batch_size),
           step_callback=record)
     if not deviations:
         raise RuntimeError("no optimizer steps ran")
     return deviations
 
 
-def _hard_f1(model: MlpModel, features, labels, tau: float) -> float:
-    preds = forward(model, features)
+def _hard_f1(preds, labels, tau: float) -> float:
     counts = aggregate_hard(LabeledBatch(preds, labels), tau)
     return f_beta(counts, 1.0, tau=tau).value

@@ -213,7 +213,8 @@ class SigmoidFit:
         return sigmoid_approx_grad(p, self)
 
 
-def _logistic(z):
+def logistic(z):
+    """Elementwise 1 / (1 + exp(-z)), overflow-safe for any z."""
     z = np.asarray(z, dtype=float)
     # exp of a non-positive argument cannot overflow; each branch is the
     # usual stable form for its sign of z
@@ -224,7 +225,7 @@ def _logistic(z):
 
 def _sigmoid(arr, fit):
     """Logistic values and their derivatives k * s * (1 - s) at ``arr``."""
-    s = _logistic(fit.k * (arr - fit.tau))
+    s = logistic(fit.k * (arr - fit.tau))
     return s, fit.k * s * (1.0 - s)
 
 
@@ -239,7 +240,7 @@ def sigmoid_approx_grad(p, fit: SigmoidFit):
 
 
 def _logistic_sse(grid, target, k, center):
-    return float(np.sum((_logistic(k * (grid - center)) - target) ** 2))
+    return float(np.sum((logistic(k * (grid - center)) - target) ** 2))
 
 
 def _fit_logistic(grid, target, k0, center0, max_iter=100, tol=1e-10):
@@ -255,7 +256,7 @@ def _fit_logistic(grid, target, k0, center0, max_iter=100, tol=1e-10):
     if not np.isfinite(residual):
         raise SigmoidFitError("initial residual is not finite")
     for _ in range(max_iter):
-        s = _logistic(k * (grid - center))
+        s = logistic(k * (grid - center))
         ds = s * (1.0 - s)
         r = s - target
         jac = np.column_stack(((grid - center) * ds, -k * ds))

@@ -14,21 +14,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .heaviside import logistic
+
 HIDDEN_WIDTHS = (32, 16)
 CHECKPOINT_MAGIC = b"SSTEPNN1"
 
 
 class StaleCacheError(RuntimeError):
     """backward() called without a matching forward() cache."""
-
-
-def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
 
 
 @dataclass
@@ -101,7 +94,9 @@ def forward(model: MlpModel, features: np.ndarray, train_mode: bool = False,
 
     train_mode applies inverted dropout after each hidden ReLU and requires
     an rng; eval mode is deterministic. The forward cache for backward() is
-    stored on the model and overwritten by each call.
+    stored on the model and overwritten by each call: the input, each hidden
+    layer's output after ReLU and dropout, the dropout masks (None in eval
+    mode) and the predictions.
     """
     x = np.asarray(features, dtype=float)
     if x.ndim != 2:
@@ -112,24 +107,25 @@ def forward(model: MlpModel, features: np.ndarray, train_mode: bool = False,
     if train_mode and rng is None:
         raise ValueError("train_mode forward needs an rng for dropout masks")
 
-    cache = {"x": x, "train_mode": train_mode, "z": [], "a": [], "mask": []}
+    cache = {"x": x, "a": [], "mask": []}
     activ = x
     for layer in (0, 1):
-        z = activ @ model.weights[layer] + model.biases[layer]
-        a = np.maximum(z, 0.0)
+        # one array per layer: the affine map, then ReLU and dropout in place
+        relu = activ @ model.weights[layer]
+        relu += model.biases[layer]
+        np.maximum(relu, 0.0, out=relu)
         rate = model.dropout_rates[layer]
         if train_mode and rate > 0.0:
-            mask = (rng.uniform(size=a.shape) >= rate) / (1.0 - rate)
-            a = a * mask
+            mask = (rng.uniform(size=relu.shape) >= rate) / (1.0 - rate)
+            relu *= mask
         else:
             mask = None
-        cache["z"].append(z)
-        cache["a"].append(a)
+        cache["a"].append(relu)
         cache["mask"].append(mask)
-        activ = a
-    z_out = activ @ model.weights[2] + model.biases[2]
-    preds = _sigmoid(z_out[:, 0])
-    cache["z_out"] = z_out
+        activ = relu
+    z_out = activ @ model.weights[2]
+    z_out += model.biases[2]
+    preds = logistic(z_out[:, 0])
     cache["preds"] = preds
     model._cache = cache
     return preds
@@ -161,13 +157,15 @@ def backward(model: MlpModel, loss_grad: np.ndarray) -> ModelGrads:
     da = dz @ model.weights[2].T
     for layer in (1, 0):
         if cache["mask"][layer] is not None:
-            da = da * cache["mask"][layer]
-        dz_h = da * (cache["z"][layer] > 0.0)
+            da *= cache["mask"][layer]
+        # a > 0 is z > 0 wherever the mask kept the unit; where it dropped
+        # the unit, da is already zero
+        da *= cache["a"][layer] > 0.0
         inputs = cache["a"][layer - 1] if layer == 1 else cache["x"]
-        grads_w[layer] = inputs.T @ dz_h
-        grads_b[layer] = dz_h.sum(axis=0)
+        grads_w[layer] = inputs.T @ da
+        grads_b[layer] = da.sum(axis=0)
         if layer == 1:
-            da = dz_h @ model.weights[1].T
+            da = da @ model.weights[1].T
     return ModelGrads(weights=grads_w, biases=grads_b)
 
 

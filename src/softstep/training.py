@@ -116,13 +116,28 @@ def _epoch_validation_loss(model, split, config):
     return loss
 
 
+def _require_both_validation_classes(split, config):
+    """AUROC is undefined on one class, so every validation would fail."""
+    validation = split.validation
+    if (config.loss.objective == "auroc"
+            and validation.n_positive in (0, validation.n)):
+        raise UndefinedMetricError(
+            f"the auroc objective needs both classes in the validation "
+            f"split, which has {validation.n_positive} positive rows of "
+            f"{validation.n}")
+
+
 def train(model: MlpModel, split: SplitDataset, config: TrainConfig,
           step_callback=None) -> TrainReport:
     """Run the early-stopped loop; mutates ``model`` toward the best epoch.
 
-    ``step_callback(model, epoch, step, features, labels)`` fires after each
-    optimizer step; experiments use it to probe batch-level statistics.
+    ``step_callback(model, epoch, step, idx)`` fires after each optimizer
+    step with the batch's row indices into ``split.train``; experiments use
+    it to probe batch-level statistics.  An auroc objective on a validation
+    split without both classes raises UndefinedMetricError (a ValueError)
+    before the first step.
     """
+    _require_both_validation_classes(split, config)
     started = time.perf_counter()
     dropout_rng = np.random.default_rng(
         np.random.SeedSequence([config.seed, _TAG_DROPOUT]))
@@ -141,9 +156,11 @@ def train(model: MlpModel, split: SplitDataset, config: TrainConfig,
         epochs_run = epoch
         loss_sum = 0.0
         seen = 0
-        for feats, labels in batches(split.train, config.batch_size,
-                                     config.seed, epoch):
-            preds = forward(model, feats, train_mode=True, rng=dropout_rng)
+        for idx in batches(split.train, config.batch_size, config.seed,
+                           epoch):
+            labels = split.train.labels[idx]
+            preds = forward(model, split.train.features[idx],
+                            train_mode=True, rng=dropout_rng)
             _finite_or_diverged(preds, f"at epoch {epoch}, step {step + 1}")
             try:
                 loss, loss_grad = objective_loss(
@@ -160,7 +177,7 @@ def train(model: MlpModel, split: SplitDataset, config: TrainConfig,
             loss_sum += loss * len(labels)
             seen += len(labels)
             if step_callback is not None:
-                step_callback(model, epoch, step, feats, labels)
+                step_callback(model, epoch, step, idx)
         train_hist.append(loss_sum / seen if seen else float("nan"))
 
         val_loss = _epoch_validation_loss(model, split, config)

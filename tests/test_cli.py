@@ -204,6 +204,22 @@ def test_train_refuses_single_class_csv(tmp_path, capsys, labels, which):
     assert f"{which} usable row has label == 'pos'" in err
 
 
+def test_train_refuses_auroc_on_single_class_validation_split(tmp_path,
+                                                             capsys):
+    # 4 positives in 204 rows: this seed's validation split has none
+    out = tmp_path / "train.tsv"
+    code = main(["train", "--dataset", "blobs:n_per_class=200,keep=0.02",
+                 "--loss", "auroc", "--epochs", "3", "--window", "3",
+                 "--seed", "3", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert ("error: UndefinedMetricError: the auroc objective needs both "
+            "classes in the validation split, which has 0 positive rows "
+            "of 33") in err
+    assert "trained" not in err
+    assert not out.exists()
+
+
 def test_train_artifact_deterministic(tmp_path):
     argv = ["train", "--dataset", TOY_DATA, "--loss", "accuracy", *FAST,
             "--format", "json"]

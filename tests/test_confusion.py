@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from softstep.confusion import (
     HardCounts,
@@ -9,7 +12,7 @@ from softstep.confusion import (
     aggregate_soft,
     aggregate_soft_grad,
 )
-from softstep.heaviside import HeavisideParams, fit_sigmoid
+from softstep.heaviside import HeavisideParams, fit_sigmoid, heaviside_exact
 
 
 P_DEFAULT = HeavisideParams(0.5, 0.1)
@@ -244,6 +247,32 @@ def test_aggregate_hard_tie_goes_positive():
     assert aggregate_hard(batch, 0.5) == HardCounts(tp=1, fp=0, fn=0, tn=0)
     batch = LabeledBatch(np.array([0.5]), np.array([0.0]))
     assert aggregate_hard(batch, 0.5) == HardCounts(tp=0, fp=1, fn=0, tn=0)
+
+
+@st.composite
+def hard_cases(draw):
+    """A threshold and a batch whose predictions often sit exactly on it."""
+    tau = draw(st.floats(0.0, 1.0))
+    n = draw(st.integers(1, 64))
+    on_or_off = st.one_of(st.just(tau), st.floats(0.0, 1.0))
+    preds = draw(arrays(float, n, elements=on_or_off))
+    labels = draw(arrays(float, n, elements=st.sampled_from([0.0, 1.0])))
+    return LabeledBatch(preds, labels), tau
+
+
+@settings(max_examples=200, deadline=None)
+@given(hard_cases())
+def test_aggregate_hard_matches_four_mask_reference(case):
+    batch, tau = case
+    predicted = heaviside_exact(batch.predictions, tau) == 1.0
+    positive = batch.labels == 1.0
+    reference = HardCounts(tp=int(np.sum(positive & predicted)),
+                           fp=int(np.sum(~positive & predicted)),
+                           fn=int(np.sum(positive & ~predicted)),
+                           tn=int(np.sum(~positive & ~predicted)))
+    counts = aggregate_hard(batch, tau)
+    assert counts == reference
+    assert all(type(getattr(counts, cell)) is int for cell in CELLS)
 
 
 def test_soft_counts_type_holds_floats():

@@ -3,20 +3,29 @@ import json
 import numpy as np
 import pytest
 
+from softstep.confusion import LabeledBatch, aggregate_hard
 from softstep.experiments import (
     BATCH_SIZES_DEFAULT,
     DatasetSource,
     ExperimentSpec,
     ResultRow,
     ResultTable,
+    _batch_deviations,
+    loss_config_for,
     parse_dataset_source,
     parse_loss_token,
+    prepared_split,
     realize_dataset,
     run_batch_sweep,
     run_fbeta_sweep,
     run_loss_grid,
     run_sigmoid_compare,
+    train_config_for,
+    trial_model,
 )
+from softstep.metrics import f_beta
+from softstep.network import forward
+from softstep.training import train
 
 # small blob task: separated enough that a few epochs produce a real
 # classifier, small enough that a full sweep stays under a second
@@ -292,3 +301,33 @@ def test_batch_sweep_counts_steps_per_batch_size():
 def test_batch_sweep_deterministic():
     spec = toy_spec("batch-sweep", batch_sizes=(64, 128))
     assert run_batch_sweep(spec).to_tsv() == run_batch_sweep(spec).to_tsv()
+
+
+def test_batch_probe_matches_a_fresh_forward_on_each_batch():
+    # the probe scores the batch from the split's predictions at the
+    # batch's row indices; the reference runs its own eval forward on the
+    # batch's rows
+    spec = toy_spec("batch-sweep", max_epochs=4, window=4)
+    split = prepared_split(spec)
+    _, loss = loss_config_for(spec, "f_1", spec.approximation)
+    deviations = _batch_deviations(spec, split, loss, 32)
+
+    def hard_f1(model, rows):
+        preds = forward(model, split.train.features[rows])
+        counts = aggregate_hard(
+            LabeledBatch(preds, split.train.labels[rows]), spec.tau)
+        return f_beta(counts, 1.0, tau=spec.tau).value
+
+    reference = []
+
+    def fresh_forward_probe(model, epoch, step, idx):
+        everything = np.arange(split.train.n)
+        reference.append(abs(hard_f1(model, idx)
+                             - hard_f1(model, everything)))
+
+    model = trial_model(spec, split.train.dims, spec.seed)
+    train(model, split, train_config_for(spec, loss, spec.seed, 32),
+          step_callback=fresh_forward_probe)
+    assert deviations == reference
+    # deviations that vary from step to step make misaligned rows show
+    assert len(set(deviations)) > len(deviations) // 2

@@ -83,14 +83,18 @@ def test_dropout_expectation_matches_eval_preactivation():
     # layer over many masks equals the eval value, within 3 standard errors
     model = toy_model(dropout=0.5, seed=11)
     x = np.random.default_rng(12).normal(size=(1, 3))
+
+    def layer2_preactivation():
+        return (model._cache["a"][0] @ model.weights[1] + model.biases[1])[0]
+
     forward(model, x, train_mode=False)
-    z_eval = model._cache["z"][1][0].copy()
+    z_eval = layer2_preactivation()
     rng = np.random.default_rng(13)
     n_masks = 10_000
     samples = np.empty((n_masks, z_eval.shape[0]))
     for i in range(n_masks):
         forward(model, x, train_mode=True, rng=rng)
-        samples[i] = model._cache["z"][1][0]
+        samples[i] = layer2_preactivation()
     mean = samples.mean(axis=0)
     se = samples.std(axis=0, ddof=1) / np.sqrt(n_masks)
     assert np.all(np.abs(mean - z_eval) <= 3.0 * se + 1e-12)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -131,7 +132,7 @@ def test_poisoned_parameters_raise_diverged_error():
                          max_epochs=5, window=3, seed=7)
     model = fresh_model(split, config)
 
-    def poison(mdl, epoch, step, feats, labels):
+    def poison(mdl, epoch, step, idx):
         mdl.weights[0][0, 0] = np.nan
 
     with pytest.raises(TrainingDivergedError):
@@ -148,16 +149,18 @@ def test_step_callback_sees_every_batch():
     model = fresh_model(split, config)
     seen = []
     train(model, split, config,
-          step_callback=lambda m, epoch, step, x, y: seen.append(
-              (epoch, step, len(y))))
+          step_callback=lambda m, epoch, step, idx: seen.append(
+              (epoch, step, idx)))
     n_train = split.train.n
     per_epoch = {}
-    for epoch, step, size in seen:
-        per_epoch.setdefault(epoch, []).append(size)
+    for epoch, step, idx in seen:
+        per_epoch.setdefault(epoch, []).append(idx)
     assert set(per_epoch) == {1, 2, 3}
-    for epoch, sizes in per_epoch.items():
-        assert sum(sizes) == n_train
-        assert sizes[-1] == n_train % 48 or n_train % 48 == 0
+    for epoch, rows in per_epoch.items():
+        # each epoch's batches partition the train split
+        assert np.array_equal(np.sort(np.concatenate(rows)),
+                              np.arange(n_train))
+        assert len(rows[-1]) == n_train % 48 or n_train % 48 == 0
     steps = [step for _, step, _ in seen]
     assert steps == list(range(1, len(steps) + 1))
 
@@ -179,6 +182,22 @@ def test_single_class_batches_skipped_for_auroc():
     report = train(model, split, config)
     assert report.skipped_batches > 0
     assert report.epochs_run == 4
+
+
+def test_auroc_objective_refuses_single_class_validation_split():
+    split = small_split(seed=15, n_per_class=60)
+    all_negative = Dataset(split.validation.features,
+                           np.zeros(split.validation.n))
+    split = dataclasses.replace(split, validation=all_negative)
+    config = TrainConfig(loss=LossConfig(objective="auroc"), batch_size=16,
+                         max_epochs=3, window=3, seed=15)
+    model = fresh_model(split, config)
+    before = model.copy_parameters()
+    with pytest.raises(ValueError, match="auroc.*validation split"):
+        train(model, split, config,
+              step_callback=lambda *args: pytest.fail("a step ran"))
+    assert all(np.array_equal(a, b)
+               for a, b in zip(before, model.copy_parameters()))
 
 
 # ------------------------------------------------------------------- report
