@@ -21,6 +21,7 @@ import sys
 
 from softstep.confusion import LabeledBatch
 from softstep.experiments import (
+    FORMATS,
     ExperimentSpec,
     loss_config_for,
     parse_dataset_source,
@@ -32,7 +33,7 @@ from softstep.experiments import (
     train_config_for,
     trial_model,
 )
-from softstep.metrics import evaluate_over_grid
+from softstep.metrics import APPROXIMATIONS, evaluate_over_grid
 from softstep.network import forward, load_checkpoint, save_checkpoint
 from softstep.training import train
 
@@ -86,8 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--tau", type=float)
         sub.add_argument("--tau-grid", dest="tau_grid")
         sub.add_argument("--delta", type=float)
-        sub.add_argument("--approximation",
-                         choices=["piecewise", "sigmoid_fit"])
+        sub.add_argument("--approximation", choices=APPROXIMATIONS)
         sub.add_argument("--batch-size", dest="batch_size",
                          help="training batch size; comma list for "
                               "batch-sweep")
@@ -98,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--lr", type=float)
         sub.add_argument("--dropout", type=float)
         sub.add_argument("--out")
-        sub.add_argument("--format", choices=["tsv", "json"])
+        sub.add_argument("--format", choices=FORMATS)
         sub.add_argument("--checkpoint",
                          help="weights file: written by train, read by "
                               "evaluate")

@@ -14,16 +14,13 @@ from one user-facing seed.
 from __future__ import annotations
 
 import csv
-import json
 import math
-import struct
 from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
 SPLIT_FRACTIONS_DEFAULT = (0.64, 0.16, 0.20)
-DATASET_MAGIC = b"SSTEPDS1"
 
 # stream tags keeping the module's RNG purposes disjoint
 _TAG_BLOBS = 11
@@ -246,45 +243,3 @@ def batches(data: Dataset, batch_size: int, seed: int, epoch: int):
     perm = rng.permutation(data.n)
     return [perm[start:start + batch_size]
             for start in range(0, data.n, batch_size)]
-
-
-def save_dataset(data: Dataset, path) -> None:
-    """Binary dataset cache: magic, shape, float64 features, uint8 labels."""
-    with open(path, "wb") as fh:
-        fh.write(DATASET_MAGIC)
-        fh.write(struct.pack("<QQ", data.n, data.dims))
-        fh.write(np.ascontiguousarray(data.features, dtype="<f8").tobytes())
-        fh.write(data.labels.astype(np.uint8).tobytes())
-
-
-def load_dataset(path) -> Dataset:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:8] != DATASET_MAGIC:
-        raise ValueError("not a dataset cache or unsupported version")
-    n, dims = struct.unpack_from("<QQ", raw, 8)
-    offset = 24
-    expected = offset + 8 * n * dims + n
-    if len(raw) != expected:
-        raise ValueError(f"dataset cache truncated: {len(raw)} bytes, "
-                         f"expected {expected}")
-    feats = np.frombuffer(raw, dtype="<f8", count=n * dims,
-                          offset=offset).reshape(n, dims).copy()
-    labels = np.frombuffer(raw, dtype=np.uint8, count=n,
-                           offset=offset + 8 * n * dims).astype(float)
-    return Dataset(feats, labels)
-
-
-def summary_stats(data: Dataset) -> dict:
-    return {
-        "n": data.n,
-        "dims": data.dims,
-        "n_positive": data.n_positive,
-        "positive_fraction": data.positive_fraction,
-        "feature_means": [float(v) for v in data.features.mean(axis=0)],
-        "feature_stds": [float(v) for v in data.features.std(axis=0)],
-    }
-
-
-def summary_json(data: Dataset) -> str:
-    return json.dumps(summary_stats(data), indent=2, sort_keys=True) + "\n"

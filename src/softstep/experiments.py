@@ -36,6 +36,7 @@ from softstep.training import TrainConfig, train
 
 COMMANDS = ("train", "evaluate", "batch-sweep", "loss-grid",
             "fbeta-sweep", "sigmoid-compare")
+FORMATS = ("tsv", "json")
 BATCH_SIZES_DEFAULT = (128, 1024, 2048, 4096)
 BETAS_DEFAULT = (1.0, 2.0, 3.0)
 
@@ -43,7 +44,7 @@ BETAS_DEFAULT = (1.0, 2.0, 3.0)
 # their own modules
 _TAG_MODEL_INIT = 7
 
-_F_TOKEN = re.compile(r"^f_(\d+(?:\.\d+)?)$")
+_F_TOKEN = re.compile(r"^f_(-?\d+(?:\.\d+)?)$")
 
 
 def parse_loss_token(token: str, default_beta: float = 1.0):
@@ -151,7 +152,8 @@ class ExperimentSpec:
     """Fully validated description of one CLI invocation.
 
     Validation happens here, before any computation starts; runners may
-    assume every field is usable.
+    assume every field is usable.  Fields that feed a LossConfig or a
+    TrainConfig are validated by building those configs.
     """
 
     command: str
@@ -177,38 +179,21 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.command not in COMMANDS:
             raise ValueError(f"unknown command {self.command!r}")
-        if not self.losses:
-            raise ValueError("losses must not be empty")
-        for token in self.losses:
-            parse_loss_token(token, self.beta)
-        if not self.beta > 0:
-            raise ValueError("beta must be positive")
-        if not self.betas or any(b <= 0 for b in self.betas):
-            raise ValueError("betas must all be positive")
-        if not 0 < self.tau < 1:
-            raise ValueError("tau must be in (0, 1)")
-        if not self.tau_grid or any(not 0 < t < 1 for t in self.tau_grid):
-            raise ValueError("tau_grid values must be in (0, 1)")
-        if not 0 < self.delta < 0.5:
-            raise ValueError("delta must be in (0, 0.5)")
-        if self.approximation not in APPROXIMATIONS:
-            raise ValueError(f"unknown approximation {self.approximation!r}")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if not self.batch_sizes or any(b < 1 for b in self.batch_sizes):
-            raise ValueError("batch_sizes must all be >= 1")
+        for name in ("losses", "betas", "batch_sizes"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must not be empty")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        if self.max_epochs < 1 or self.window < 1:
-            raise ValueError("max_epochs and window must be >= 1")
-        if not (np.isfinite(self.lr) and self.lr > 0):
-            raise ValueError("lr must be positive and finite")
-        if not 0 <= self.dropout < 1:
-            raise ValueError("dropout must be in [0, 1)")
-        if self.format not in ("tsv", "json"):
+        if self.format not in FORMATS:
             raise ValueError(f"unknown format {self.format!r}")
+        # every other field is checked by the configs the runners build
+        _, loss = loss_config_for(self, "f_beta", self.approximation)
+        for token in (*self.losses, *("f_%g" % b for b in self.betas)):
+            loss_config_for(self, token, self.approximation)
+        for batch_size in (self.batch_size, *self.batch_sizes):
+            train_config_for(self, loss, self.seed, batch_size)
 
 
 # --------------------------------------------------------------- result rows
@@ -279,7 +264,7 @@ class ResultTable:
 
 
 def loss_config_for(spec: ExperimentSpec, token: str,
-                 approximation: str) -> tuple[str, LossConfig]:
+                    approximation: str) -> tuple[str, LossConfig]:
     label, objective, beta = parse_loss_token(token, spec.beta)
     return label, LossConfig(objective=objective, beta=beta,
                              tau_train=spec.tau, tau_grid=spec.tau_grid,
@@ -289,7 +274,8 @@ def loss_config_for(spec: ExperimentSpec, token: str,
 def train_config_for(spec: ExperimentSpec, loss: LossConfig, seed: int,
                      batch_size: int | None = None) -> TrainConfig:
     return TrainConfig(loss=loss,
-                       batch_size=batch_size or spec.batch_size,
+                       batch_size=(spec.batch_size if batch_size is None
+                                   else batch_size),
                        max_epochs=spec.max_epochs, window=spec.window,
                        dropout=spec.dropout, lr=spec.lr, seed=seed)
 
@@ -317,17 +303,16 @@ def _grid_means(model: MlpModel, split: SplitDataset,
     return means
 
 
-def _run_cell(spec: ExperimentSpec, split: SplitDataset, token: str,
-              approximation: str) -> tuple[str, list[dict[str, float]]]:
+def _run_cell(spec: ExperimentSpec, split: SplitDataset,
+              loss: LossConfig) -> list[dict[str, float]]:
     """Train spec.trials models for one (loss, approximation) cell."""
-    label, loss = loss_config_for(spec, token, approximation)
     per_trial = []
     for index in range(spec.trials):
         trial_seed = spec.seed + index
         model = trial_model(spec, split.train.dims, trial_seed)
         train(model, split, train_config_for(spec, loss, trial_seed))
         per_trial.append(_grid_means(model, split, spec))
-    return label, per_trial
+    return per_trial
 
 
 def _metric_rows(experiment: str, label: str, approximation: str,
@@ -361,58 +346,45 @@ def prepared_split(spec: ExperimentSpec) -> SplitDataset:
 # -------------------------------------------------------------- the runners
 
 
-def run_loss_grid(spec: ExperimentSpec) -> ResultTable:
-    """Per training loss: accuracy/F1/AUROC on the test split over trials."""
+def _run_table(spec: ExperimentSpec, experiment: str, cells,
+               metrics: tuple[str, ...]) -> ResultTable:
+    """Train each (loss token, approximation) cell over spec.trials.
+
+    A cell that fails becomes an error row; the cells after it still run.
+    """
     split = prepared_split(spec)
     rows = []
-    for token in spec.losses:
-        label = parse_loss_token(token, spec.beta)[0]
+    for token, approximation in cells:
+        label, loss = loss_config_for(spec, token, approximation)
         try:
-            label, per_trial = _run_cell(spec, split, token,
-                                         spec.approximation)
-            rows.extend(_metric_rows("loss-grid", label, spec.approximation,
-                                     per_trial, ("accuracy", "f_1", "auroc")))
+            rows.extend(_metric_rows(experiment, label, approximation,
+                                     _run_cell(spec, split, loss), metrics))
         except Exception as exc:
-            rows.append(_error_row("loss-grid", label, spec.approximation,
-                                   exc))
+            rows.append(_error_row(experiment, label, approximation, exc))
     return ResultTable(rows=tuple(rows))
+
+
+def run_loss_grid(spec: ExperimentSpec) -> ResultTable:
+    """Per training loss: accuracy/F1/AUROC on the test split over trials."""
+    return _run_table(spec, "loss-grid",
+                      [(token, spec.approximation) for token in spec.losses],
+                      ("accuracy", "f_1", "auroc"))
 
 
 def run_fbeta_sweep(spec: ExperimentSpec) -> ResultTable:
     """Train at each beta; report F1, precision, recall of the result."""
-    split = prepared_split(spec)
-    rows = []
-    for beta in spec.betas:
-        token = "f_%g" % beta
-        try:
-            label, per_trial = _run_cell(spec, split, token,
-                                         spec.approximation)
-            rows.extend(_metric_rows("fbeta-sweep", label,
-                                     spec.approximation, per_trial,
-                                     ("f_1", "precision", "recall")))
-        except Exception as exc:
-            rows.append(_error_row("fbeta-sweep", token, spec.approximation,
-                                   exc))
-    return ResultTable(rows=tuple(rows))
+    return _run_table(spec, "fbeta-sweep",
+                      [("f_%g" % beta, spec.approximation)
+                       for beta in spec.betas],
+                      ("f_1", "precision", "recall"))
 
 
 def run_sigmoid_compare(spec: ExperimentSpec) -> ResultTable:
     """Same losses trained under both approximation families."""
-    split = prepared_split(spec)
-    rows = []
-    for token in spec.losses:
-        for approximation in APPROXIMATIONS:
-            label = parse_loss_token(token, spec.beta)[0]
-            try:
-                label, per_trial = _run_cell(spec, split, token,
-                                             approximation)
-                rows.extend(_metric_rows("sigmoid-compare", label,
-                                         approximation, per_trial,
-                                         ("accuracy", "f_1")))
-            except Exception as exc:
-                rows.append(_error_row("sigmoid-compare", label,
-                                       approximation, exc))
-    return ResultTable(rows=tuple(rows))
+    return _run_table(spec, "sigmoid-compare",
+                      [(token, approximation) for token in spec.losses
+                       for approximation in APPROXIMATIONS],
+                      ("accuracy", "f_1"))
 
 
 def run_batch_sweep(spec: ExperimentSpec) -> ResultTable:
@@ -422,10 +394,9 @@ def run_batch_sweep(spec: ExperimentSpec) -> ResultTable:
     moving part is how the (identical) epoch permutation is sliced.
     """
     split = prepared_split(spec)
-    token = spec.losses[0]
+    label, loss = loss_config_for(spec, spec.losses[0], spec.approximation)
     rows = []
     for batch_size in spec.batch_sizes:
-        label, loss = loss_config_for(spec, token, spec.approximation)
         try:
             deviations = _batch_deviations(spec, split, loss, batch_size)
             rows.append(ResultRow(

@@ -304,6 +304,10 @@ def fit_sigmoid(params: HeavisideParams, grid_size: int = 200) -> SigmoidFit:
     return SigmoidFit(k=k, tau=center, residual=residual)
 
 
+# the surrogate families cached_approximation builds, by name
+APPROXIMATIONS = ("piecewise", "sigmoid_fit")
+
+
 @lru_cache(maxsize=512)
 def cached_approximation(family: str, tau: float, delta: float):
     """Shared builder for loss code: one approximation per (family, tau, delta).

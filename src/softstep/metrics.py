@@ -19,13 +19,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .confusion import LabeledBatch, aggregate_hard, soft_confusion
-from .heaviside import cached_stack
+from .heaviside import APPROXIMATIONS, cached_stack
 
 EPSILON_DEFAULT = 1e-7
 TAU_GRID_DEFAULT = tuple(i / 10 for i in range(1, 10))
 
 OBJECTIVES = ("accuracy", "f_beta", "auroc", "bce")
-APPROXIMATIONS = ("piecewise", "sigmoid_fit")
 
 
 class UndefinedMetricError(ValueError):
@@ -83,6 +82,8 @@ class LossConfig:
         for tau in self.tau_grid:
             if not 0.0 < tau < 1.0:
                 raise ValueError(f"tau_grid entries must lie in (0,1), got {tau}")
+        if not 0.0 < self.delta < 0.5:
+            raise ValueError(f"delta must lie in (0, 0.5), got {self.delta}")
         if not self.epsilon > 0.0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
 
@@ -261,8 +262,8 @@ class MetricTable:
             lines.append(f"# excluded_from_mean: {note}")
         return "\n".join(lines) + "\n"
 
-    def to_json(self) -> str:
-        payload = {
+    def to_dict(self) -> dict:
+        return {
             "rows": [
                 {"metric": r.name, "tau": r.tau, "value": r.value,
                  "defined": r.defined}
@@ -270,7 +271,9 @@ class MetricTable:
             ],
             "excluded_from_mean": self.excluded_from_mean,
         }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
 def evaluate_over_grid(batch: LabeledBatch, tau_grid=TAU_GRID_DEFAULT,

@@ -57,8 +57,8 @@ class TrainConfig:
             raise ValueError(f"window must be >= 1, got {self.window}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must lie in [0, 1), got {self.dropout}")
-        if self.lr <= 0.0:
-            raise ValueError(f"lr must be positive, got {self.lr}")
+        if not (np.isfinite(self.lr) and self.lr > 0.0):
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,7 @@ class TrainReport:
         def clean(x):
             return float(x) if np.isfinite(x) else None
 
-        payload = {
+        return {
             "train_loss": [clean(v) for v in self.train_loss],
             "val_loss": [clean(v) for v in self.val_loss],
             "epochs_run": self.epochs_run,
@@ -86,18 +86,9 @@ class TrainReport:
             "best_val_loss": clean(self.best_val_loss),
             "skipped_batches": self.skipped_batches,
             "duration_seconds": self.duration_seconds,
-            "final_metrics": None,
+            "final_metrics": (None if self.final_metrics is None
+                              else self.final_metrics.to_dict()),
         }
-        if self.final_metrics is not None:
-            payload["final_metrics"] = {
-                "rows": [
-                    {"metric": r.name, "tau": r.tau, "value": r.value,
-                     "defined": r.defined}
-                    for r in self.final_metrics.rows
-                ],
-                "excluded_from_mean": self.final_metrics.excluded_from_mean,
-            }
-        return payload
 
     def to_json(self) -> str:
         return json.dumps(self.summary_dict(), indent=2, sort_keys=True) + "\n"

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -8,12 +6,8 @@ from softstep.data import (
     batches,
     generate_blobs,
     load_csv,
-    load_dataset,
-    save_dataset,
     standardize_and_split,
     subsample_positives,
-    summary_json,
-    summary_stats,
 )
 
 
@@ -307,44 +301,3 @@ def test_batches_keyed_by_seed_and_epoch():
     assert not all(np.array_equal(i1, i2) for i1, i2 in zip(a, c))
     with pytest.raises(ValueError):
         batches(data, 0, seed=1, epoch=1)
-
-
-# -------------------------------------------------------------------- cache
-
-
-def test_dataset_cache_roundtrip(tmp_path):
-    data = generate_blobs(n_per_class=40, seed=31)
-    path = tmp_path / "blobs.bin"
-    save_dataset(data, path)
-    loaded = load_dataset(path)
-    assert np.array_equal(loaded.features, data.features)
-    assert np.array_equal(loaded.labels, data.labels)
-
-
-def test_dataset_cache_rejects_corruption(tmp_path):
-    data = generate_blobs(n_per_class=10, seed=33)
-    path = tmp_path / "blobs.bin"
-    save_dataset(data, path)
-    raw = path.read_bytes()
-    path.write_bytes(b"WRONGMAG" + raw[8:])
-    with pytest.raises(ValueError):
-        load_dataset(path)
-    path.write_bytes(raw[:-5])
-    with pytest.raises(ValueError):
-        load_dataset(path)
-
-
-# ------------------------------------------------------------------ summary
-
-
-def test_summary_stats_and_json():
-    data = generate_blobs(n_per_class=30, seed=35)
-    stats = summary_stats(data)
-    assert stats["n"] == 60
-    assert stats["dims"] == 3
-    assert stats["n_positive"] == 30
-    assert stats["positive_fraction"] == 0.5
-    assert len(stats["feature_means"]) == 3
-    payload = json.loads(summary_json(data))
-    assert payload == json.loads(summary_json(data))
-    assert payload["n"] == 60

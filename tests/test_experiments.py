@@ -144,12 +144,24 @@ def test_spec_defaults_follow_stated_protocol():
     dict(lr=0.0),
     dict(dropout=1.0),
     dict(format="csv"),
+    dict(batch_sizes=(0,)),
+    dict(lr=float("nan")),
+    dict(betas=(0.0,)),
 ])
 def test_spec_rejects_bad_fields(overrides):
     fields = dict(command="loss-grid")
     fields.update(overrides)
     with pytest.raises(ValueError):
         ExperimentSpec(**fields)
+
+
+def test_train_config_for_rejects_batch_size_zero():
+    # an explicit 0 is a bad batch size, not a request for the default
+    spec = ExperimentSpec(command="train")
+    _, loss = loss_config_for(spec, "f_1", spec.approximation)
+    assert train_config_for(spec, loss, 0).batch_size == spec.batch_size
+    with pytest.raises(ValueError, match="batch_size"):
+        train_config_for(spec, loss, 0, 0)
 
 
 # -------------------------------------------------------------- result table

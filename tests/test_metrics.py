@@ -403,6 +403,9 @@ def test_loss_config_validation():
         LossConfig(epsilon=0.0)
     with pytest.raises(ValueError):
         LossConfig(approximation="spline")
+    # delta outside (0, 0.5) would only fail at the first loss call
+    with pytest.raises(ValueError, match="delta"):
+        LossConfig(delta=0.7)
 
 
 # ----------------------------------------------------------- metric tables

@@ -226,3 +226,6 @@ def test_train_config_validation():
         TrainConfig(dropout=1.0)
     with pytest.raises(ValueError):
         TrainConfig(lr=0.0)
+    for lr in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="lr"):
+            TrainConfig(lr=lr)
