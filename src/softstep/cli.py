@@ -9,7 +9,8 @@ errors or a fatal failure of a single-model command.
 
 Artifacts written to --out contain no wall-clock fields, so identical
 specs produce byte-identical files; timing goes to stderr and to the
-optional --report file.
+optional --report file.  --out, --report and --checkpoint files are
+replaced atomically.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import json
 import sys
 
 from softstep.confusion import LabeledBatch
+from softstep.data import write_atomic
 from softstep.experiments import (
     FORMATS,
     ExperimentSpec,
@@ -178,8 +180,7 @@ def build_spec(args) -> ExperimentSpec:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        write_atomic(out, text.encode("utf-8"))
     else:
         sys.stdout.write(text)
 
@@ -193,8 +194,7 @@ def _train_single(spec: ExperimentSpec, checkpoint: str | None,
     if checkpoint:
         save_checkpoint(model, checkpoint)
     if report_path:
-        with open(report_path, "w", encoding="utf-8") as handle:
-            handle.write(report.to_json())
+        write_atomic(report_path, report.to_json().encode("utf-8"))
     print(f"trained {label} for {report.epochs_run} epochs "
           f"(best epoch {report.best_epoch}) "
           f"in {report.duration_seconds:.1f}s", file=sys.stderr)
@@ -235,10 +235,10 @@ def main(argv=None) -> int:
         if args.command == "evaluate":
             return _evaluate_checkpoint(spec, args.checkpoint)
         table = _RUNNERS[args.command](spec)
+        _emit(table.render(spec.format), spec.out)
     except Exception as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    _emit(table.render(spec.format), spec.out)
     if table.has_errors:
         print("warning: some cells failed; see error rows", file=sys.stderr)
         return 2

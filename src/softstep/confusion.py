@@ -43,11 +43,13 @@ class LabeledBatch:
                 f"length mismatch: {len(preds)} predictions, {len(labels)} labels")
         if len(preds) == 0:
             raise ValueError("batch must contain at least one sample")
-        if not np.all(np.isfinite(preds)):
-            raise ValueError("predictions must be finite")
-        if preds.min() < 0.0 or preds.max() > 1.0:
-            raise ValueError("predictions must lie in [0, 1]")
-        if not np.all((labels == 0.0) | (labels == 1.0)):
+        # NaN fails both comparisons and +-inf one, so this also checks
+        # that every prediction is finite
+        if not (preds.min() >= 0.0 and preds.max() <= 1.0):
+            raise ValueError("predictions must be finite and lie in [0, 1]")
+        # x * (x - 1) is 0 exactly for x in {0, 1} and nonzero (or NaN)
+        # for every other double
+        if np.count_nonzero(labels * (labels - 1.0)):
             raise ValueError("labels must be 0 or 1")
         object.__setattr__(self, "predictions", preds)
         object.__setattr__(self, "labels", labels)

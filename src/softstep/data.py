@@ -4,7 +4,7 @@ The synthetic task is two isotropic Gaussian blobs (one per class); class
 imbalance is produced by randomly removing positives. Real data arrives as
 comma-delimited CSV with a header row: every non-label column is a feature,
 and rows with missing or non-numeric feature cells are rejected and counted
-rather than imputed.
+rather than imputed. Artifacts are written with ``write_atomic``.
 
 All randomness is drawn from purpose-keyed SeedSequences, so generation,
 subsampling, splitting and batching each have independent streams derived
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from array import array
 from dataclasses import dataclass
 
@@ -243,3 +244,26 @@ def batches(data: Dataset, batch_size: int, seed: int, epoch: int):
     perm = rng.permutation(data.n)
     return [perm[start:start + batch_size]
             for start in range(0, data.n, batch_size)]
+
+
+def write_atomic(path, payload: bytes) -> None:
+    """Replace ``path`` with ``payload`` so that no reader sees a partial file.
+
+    The bytes go to a temporary file in the same directory, which then
+    replaces ``path`` in one rename; if anything fails first, the old file
+    stays as it was and the temporary file is removed. A symlink's target
+    is replaced, not the link; a path that exists and is no regular file
+    (a directory, a pipe, a terminal) is refused with ValueError.
+    """
+    path = os.path.realpath(path)
+    if os.path.exists(path) and not os.path.isfile(path):
+        raise ValueError(f"cannot replace {path}: not a regular file")
+    temporary = f"{path}.{os.getpid()}.tmp"
+    handle = open(temporary, "xb")
+    try:
+        with handle:
+            handle.write(payload)
+        os.replace(temporary, path)
+    except BaseException:
+        os.unlink(temporary)
+        raise

@@ -190,8 +190,10 @@ class ExperimentSpec:
             raise ValueError(f"unknown format {self.format!r}")
         # every other field is checked by the configs the runners build
         _, loss = loss_config_for(self, "f_beta", self.approximation)
-        for token in (*self.losses, *("f_%g" % b for b in self.betas)):
+        for token in self.losses:
             loss_config_for(self, token, self.approximation)
+        for beta in self.betas:
+            loss_config_for(self, "f_beta", self.approximation, beta)
         for batch_size in (self.batch_size, *self.batch_sizes):
             train_config_for(self, loss, self.seed, batch_size)
 
@@ -263,9 +265,16 @@ class ResultTable:
 # ------------------------------------------------------------ trial plumbing
 
 
-def loss_config_for(spec: ExperimentSpec, token: str,
-                    approximation: str) -> tuple[str, LossConfig]:
-    label, objective, beta = parse_loss_token(token, spec.beta)
+def loss_config_for(spec: ExperimentSpec, token: str, approximation: str,
+                    beta: float | None = None) -> tuple[str, LossConfig]:
+    """The row label and LossConfig of a loss token.
+
+    ``beta`` stands in for spec.beta as the beta of the ``f_beta`` token, so
+    fbeta-sweep trains at exactly each of its betas ("f_%g" is only the
+    label).
+    """
+    label, objective, beta = parse_loss_token(
+        token, spec.beta if beta is None else beta)
     return label, LossConfig(objective=objective, beta=beta,
                              tau_train=spec.tau, tau_grid=spec.tau_grid,
                              delta=spec.delta, approximation=approximation)
@@ -348,41 +357,43 @@ def prepared_split(spec: ExperimentSpec) -> SplitDataset:
 
 def _run_table(spec: ExperimentSpec, experiment: str, cells,
                metrics: tuple[str, ...]) -> ResultTable:
-    """Train each (loss token, approximation) cell over spec.trials.
+    """Train each (row label, LossConfig) cell over spec.trials.
 
     A cell that fails becomes an error row; the cells after it still run.
     """
     split = prepared_split(spec)
     rows = []
-    for token, approximation in cells:
-        label, loss = loss_config_for(spec, token, approximation)
+    for label, loss in cells:
         try:
-            rows.extend(_metric_rows(experiment, label, approximation,
+            rows.extend(_metric_rows(experiment, label, loss.approximation,
                                      _run_cell(spec, split, loss), metrics))
         except Exception as exc:
-            rows.append(_error_row(experiment, label, approximation, exc))
+            rows.append(_error_row(experiment, label, loss.approximation,
+                                   exc))
     return ResultTable(rows=tuple(rows))
 
 
 def run_loss_grid(spec: ExperimentSpec) -> ResultTable:
     """Per training loss: accuracy/F1/AUROC on the test split over trials."""
     return _run_table(spec, "loss-grid",
-                      [(token, spec.approximation) for token in spec.losses],
+                      [loss_config_for(spec, token, spec.approximation)
+                       for token in spec.losses],
                       ("accuracy", "f_1", "auroc"))
 
 
 def run_fbeta_sweep(spec: ExperimentSpec) -> ResultTable:
     """Train at each beta; report F1, precision, recall of the result."""
     return _run_table(spec, "fbeta-sweep",
-                      [("f_%g" % beta, spec.approximation)
-                       for beta in spec.betas],
+                      [loss_config_for(spec, "f_beta", spec.approximation,
+                                       beta) for beta in spec.betas],
                       ("f_1", "precision", "recall"))
 
 
 def run_sigmoid_compare(spec: ExperimentSpec) -> ResultTable:
     """Same losses trained under both approximation families."""
     return _run_table(spec, "sigmoid-compare",
-                      [(token, approximation) for token in spec.losses
+                      [loss_config_for(spec, token, approximation)
+                       for token in spec.losses
                        for approximation in APPROXIMATIONS],
                       ("accuracy", "f_1"))
 

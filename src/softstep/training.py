@@ -135,7 +135,7 @@ def train(model: MlpModel, split: SplitDataset, config: TrainConfig,
     optimizer = AdamState.create(model, lr=config.lr)
     best_val = np.inf
     best_epoch = 0
-    best_params = model.copy_parameters()
+    best_params = model.flat.copy()
     stale = 0
     skipped = 0
     step = 0
@@ -179,14 +179,14 @@ def train(model: MlpModel, split: SplitDataset, config: TrainConfig,
         if val_loss < best_val:
             best_val = val_loss
             best_epoch = epoch
-            best_params = model.copy_parameters()
+            best_params = model.flat.copy()
             stale = 0
         else:
             stale += 1
             if stale >= config.window:
                 break
 
-    model.set_parameters(best_params)
+    model.flat[:] = best_params
     test_preds = forward(model, split.test.features, train_mode=False)
     final = evaluate_over_grid(LabeledBatch(test_preds, split.test.labels),
                                config.loss.tau_grid, beta=config.loss.beta,

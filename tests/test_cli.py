@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -247,3 +248,36 @@ def test_sigmoid_compare_cli(capsys):
     assert code == 0
     body = capsys.readouterr().out
     assert "piecewise" in body and "sigmoid_fit" in body
+
+
+def test_failed_writes_leave_old_artifacts_intact(tmp_path, failing_writes,
+                                                  capsys):
+    # every artifact a command writes goes through a temporary file, so a
+    # write that dies halfway leaves the previous file whole
+    old = {"model.ckpt": b"old checkpoint", "train.tsv": b"old table\n",
+           "report.json": b"{}\n", "grid.tsv": b"old grid\n"}
+    for name, body in old.items():
+        (tmp_path / name).write_bytes(body)
+    for flag in ("--checkpoint", "--out", "--report"):
+        target = {"--checkpoint": "model.ckpt", "--out": "train.tsv",
+                  "--report": "report.json"}[flag]
+        code = main(["train", "--dataset", TOY_DATA, *FAST,
+                     flag, str(tmp_path / target)])
+        assert code == 1
+        assert "No space left" in capsys.readouterr().err
+    assert main(["loss-grid", "--dataset", TOY_DATA, "--loss", "f_1",
+                 *FAST, "--out", str(tmp_path / "grid.tsv")]) == 1
+    assert "No space left" in capsys.readouterr().err
+    for name, body in old.items():
+        assert (tmp_path / name).read_bytes() == body
+    assert sorted(os.listdir(tmp_path)) == sorted(old)
+
+
+def test_fbeta_sweep_accepts_a_beta_without_a_loss_token(tmp_path):
+    # 1e-05 prints as f_1e-05, which is no f_<number> token; it is a label
+    out = tmp_path / "sweep.tsv"
+    assert main(["fbeta-sweep", "--dataset", TOY_DATA,
+                 "--betas", "0.00001,1", *FAST, "--out", str(out)]) == 0
+    rows = [line.split("\t") for line in out.read_text().splitlines()[1:]]
+    assert [row[1] for row in rows] == ["f_1e-05"] * 3 + ["f_1"] * 3
+    assert all(row[-1] == "ok" for row in rows)

@@ -49,6 +49,33 @@ def test_batch_validation():
         LabeledBatch(np.array([[0.5]]), np.array([[1.0]]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.001, 1.001])
+def test_batch_refuses_each_bad_prediction_anywhere(bad):
+    for position in range(3):
+        preds = np.array([0.0, 0.5, 1.0])
+        preds[position] = bad
+        with pytest.raises(ValueError, match="predictions"):
+            LabeledBatch(preds, np.array([0.0, 1.0, 1.0]))
+
+
+# labels near the float limit overflow in x * (x - 1), on the way to the
+# ValueError
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@settings(max_examples=200, deadline=None)
+@given(labels=arrays(np.float64, st.integers(1, 8),
+                     elements=st.one_of(st.sampled_from([0.0, 1.0, -0.0]),
+                                        st.floats(allow_nan=True,
+                                                  allow_infinity=True,
+                                                  allow_subnormal=True))))
+def test_batch_accepts_exactly_zero_one_labels(labels):
+    preds = np.full(len(labels), 0.5)
+    if np.all((labels == 0.0) | (labels == 1.0)):
+        assert LabeledBatch(preds, labels).n == len(labels)
+    else:
+        with pytest.raises(ValueError, match="labels"):
+            LabeledBatch(preds, labels)
+
+
 # --------------------------------------------------------- soft memberships
 
 

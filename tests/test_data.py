@@ -1,3 +1,6 @@
+import errno
+import os
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from softstep.data import (
     load_csv,
     standardize_and_split,
     subsample_positives,
+    write_atomic,
 )
 
 
@@ -301,3 +305,58 @@ def test_batches_keyed_by_seed_and_epoch():
     assert not all(np.array_equal(i1, i2) for i1, i2 in zip(a, c))
     with pytest.raises(ValueError):
         batches(data, 0, seed=1, epoch=1)
+
+
+# ------------------------------------------------------------ atomic writes
+
+
+def test_write_atomic_replaces_the_file(tmp_path):
+    path = tmp_path / "out.bin"
+    write_atomic(path, b"first")
+    write_atomic(path, b"second")
+    assert path.read_bytes() == b"second"
+    assert os.listdir(tmp_path) == ["out.bin"]
+
+
+def test_write_failing_midway_leaves_the_old_file(tmp_path,
+                                                  failing_writes):
+    path = tmp_path / "out.bin"
+    path.write_bytes(b"old contents")
+    with pytest.raises(OSError, match="No space"):
+        write_atomic(path, b"new contents that never fully land")
+    assert path.read_bytes() == b"old contents"
+    assert os.listdir(tmp_path) == ["out.bin"]
+
+
+def test_failed_rename_leaves_the_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "out.bin"
+    path.write_bytes(b"old contents")
+
+    def refuse(src, dst):
+        raise PermissionError(errno.EACCES, "Permission denied")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(PermissionError):
+        write_atomic(path, b"new")
+    assert path.read_bytes() == b"old contents"
+    assert os.listdir(tmp_path) == ["out.bin"]
+
+
+def test_write_atomic_replaces_a_symlinks_target(tmp_path):
+    target = tmp_path / "target.tsv"
+    target.write_bytes(b"old")
+    link = tmp_path / "link.tsv"
+    link.symlink_to(target)
+    write_atomic(link, b"new")
+    assert link.is_symlink()
+    assert target.read_bytes() == b"new"
+    assert sorted(os.listdir(tmp_path)) == ["link.tsv", "target.tsv"]
+
+
+def test_write_atomic_refuses_what_is_not_a_regular_file(tmp_path):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    for path in (fifo, tmp_path):
+        with pytest.raises(ValueError, match="not a regular file"):
+            write_atomic(path, b"new")
+    assert os.listdir(tmp_path) == ["pipe"]

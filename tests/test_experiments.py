@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
+import softstep.experiments
 from softstep.confusion import LabeledBatch, aggregate_hard
 from softstep.experiments import (
     BATCH_SIZES_DEFAULT,
+    COMMANDS,
     DatasetSource,
     ExperimentSpec,
     ResultRow,
@@ -262,6 +264,27 @@ def test_fbeta_sweep_rows_and_labels():
     assert [r.metric for r in table.rows[:3]] == ["f_1", "precision",
                                                   "recall"]
     assert all(r.status == "ok" for r in table.rows)
+
+
+def test_fbeta_sweep_trains_at_the_exact_beta(monkeypatch):
+    trained = []
+
+    def record_cell(spec, split, loss):
+        trained.append(loss.beta)
+        return [{"f_1": 0.5, "precision": 0.5, "recall": 0.5}]
+
+    monkeypatch.setattr(softstep.experiments, "_run_cell", record_cell)
+    table = run_fbeta_sweep(toy_spec("fbeta-sweep",
+                                     betas=(1.23456789, 0.00001, 2.0)))
+    assert trained == [1.23456789, 0.00001, 2.0]
+    assert [r.loss for r in table.rows[::3]] == ["f_1.23457", "f_1e-05",
+                                                 "f_2"]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_spec_accepts_betas_whose_label_is_not_a_loss_token(command):
+    assert ExperimentSpec(command=command, betas=(0.00001, 1e7)).betas == \
+        (0.00001, 1e7)
 
 
 def test_fbeta_sweep_beta_one_matches_loss_grid_cell():
