@@ -3,8 +3,9 @@
 The synthetic task is two isotropic Gaussian blobs (one per class); class
 imbalance is produced by randomly removing positives. Real data arrives as
 comma-delimited CSV with a header row: every non-label column is a feature,
-and rows with missing or non-numeric feature cells are rejected and counted
-rather than imputed. Artifacts are written with ``write_atomic``.
+and rows with a missing, non-numeric or non-finite cell are rejected and
+counted by reason rather than imputed. Artifacts are written with
+``write_atomic``.
 
 All randomness is drawn from purpose-keyed SeedSequences, so generation,
 subsampling, splitting and batching each have independent streams derived
@@ -14,6 +15,7 @@ from one user-facing seed.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import os
 from array import array
@@ -30,6 +32,13 @@ _TAG_SPLIT = 17
 _TAG_BATCH = 23
 
 _ZERO_VARIANCE_GUARD = 1e-12
+
+# bytes per read while load_csv scans a file for what numpy reads otherwise
+_SCAN_CHUNK = 1 << 20
+
+# why load_csv rejects a data row, in the order the checks run
+REJECTION_REASONS = ("wrong cell count", "empty label",
+                     "unparseable feature", "non-finite feature")
 
 
 @dataclass(frozen=True)
@@ -141,18 +150,29 @@ def subsample_positives(data: Dataset, keep_fraction: float,
 def load_csv(path, label_column: str, positive_value: str):
     """Read a header-rowed CSV into a Dataset, rejecting unusable rows.
 
-    Every column except ``label_column`` must parse as a finite float; a row
-    with any missing or unparseable feature cell (or a missing label) is
-    dropped. A file whose usable rows are all positive or all negative
-    is refused. Returns (dataset, number_of_rejected_rows).
+    Every column except ``label_column`` must parse as a finite float. A
+    row is rejected for a cell count other than the header's, an empty
+    stripped label, an unparseable feature or a non-finite one, checked in
+    that order. The label is positive when its stripped text equals
+    ``positive_value``. A header that repeats a column name, and a file
+    whose usable rows are all positive or all negative, are refused.
+    Returns (dataset, rejected): ``rejected`` maps each of
+    ``REJECTION_REASONS`` to its count of rows.
+
+    A file that numpy's C reader provably reads like the csv module is
+    parsed by it (see ``_parse_with_numpy``); any other goes through
+    ``_parse_rows``, which is the definition of the rules.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
+        rows = csv.reader(fh)
+        header = next(rows, None)
+        if header is None:
             raise ValueError(f"{path}: empty file, expected a header row")
         header = [h.strip() for h in header]
+        duplicates = sorted({h for h in header if header.count(h) > 1})
+        if duplicates:
+            raise ValueError(
+                f"{path}: duplicate column names {duplicates} in header")
         if label_column not in header:
             raise ValueError(
                 f"{path}: no column named {label_column!r} in header {header}")
@@ -160,36 +180,101 @@ def load_csv(path, label_column: str, positive_value: str):
         feature_pos = [i for i in range(len(header)) if i != label_pos]
         if not feature_pos:
             raise ValueError(f"{path}: no feature columns besides the label")
-        # accepted rows go straight into flat float buffers, so a large file
-        # costs no Python object per row
-        values = array("d")
-        labels = array("d")
-        rejected = 0
-        for cells in reader:
-            if len(cells) != len(header):
-                rejected += 1
-                continue
-            label_cell = cells[label_pos].strip()
-            if not label_cell:
-                rejected += 1
-                continue
-            try:
-                feats = [float(cells[i]) for i in feature_pos]
-            except ValueError:
-                rejected += 1
-                continue
-            if not all(map(math.isfinite, feats)):
-                rejected += 1
-                continue
-            values.extend(feats)
-            labels.append(1.0 if label_cell == positive_value else 0.0)
-    if not labels:
-        raise ValueError(f"{path}: no usable data rows (rejected {rejected})")
-    if sum(labels) in (0, len(labels)):
+        parsed = _parse_with_numpy(path, len(header), label_pos, feature_pos,
+                                   positive_value)
+        if parsed is None:
+            parsed = _parse_rows(rows, len(header), label_pos, feature_pos,
+                                 positive_value)
+    features, labels, rejected = parsed
+    if not len(labels):
+        raise ValueError(f"{path}: no usable data rows "
+                         f"(rejected {sum(rejected.values())})")
+    if labels.sum() in (0, len(labels)):
         raise ValueError(f"{path}: {'every' if labels[0] else 'no'} usable "
                          f"row has {label_column} == {positive_value!r}")
+    return Dataset(features, labels), rejected
+
+
+def _parse_rows(rows, n_cells, label_pos, feature_pos, positive_value):
+    """(features, labels, rejected) of csv rows, checked one at a time."""
+    # accepted rows go straight into flat float buffers, so a large file
+    # costs no Python object per row
+    values = array("d")
+    labels = array("d")
+    rejected = dict.fromkeys(REJECTION_REASONS, 0)
+    for cells in rows:
+        if len(cells) != n_cells:
+            rejected["wrong cell count"] += 1
+            continue
+        label_cell = cells[label_pos].strip()
+        if not label_cell:
+            rejected["empty label"] += 1
+            continue
+        try:
+            feats = [float(cells[i]) for i in feature_pos]
+        except ValueError:
+            rejected["unparseable feature"] += 1
+            continue
+        if not all(map(math.isfinite, feats)):
+            rejected["non-finite feature"] += 1
+            continue
+        values.extend(feats)
+        labels.append(1.0 if label_cell == positive_value else 0.0)
     features = np.frombuffer(values).reshape(len(labels), len(feature_pos))
-    return Dataset(features, np.frombuffer(labels)), rejected
+    return features, np.frombuffer(labels), rejected
+
+
+def _parse_with_numpy(path, n_cells, label_pos, feature_pos, positive_value):
+    """``_parse_rows``'s result through ``np.loadtxt``, or None.
+
+    None unless numpy provably reads the file as the csv module does. The
+    file must hold no quote (numpy does not unquote), no carriage return
+    (the csv module ends a row at a bare one), no NUL byte (numpy does not
+    document how it reads one) and no blank line (numpy skips it, the row
+    loop rejects it). Each of the two passes raises on a row that lacks a
+    column it reads, and between them they read the last one, so every
+    row has at least ``n_cells`` cells; a total of ``n_cells - 1`` commas
+    per line then rules out longer rows, which ``usecols`` would silently
+    truncate. A feature numpy cannot parse as a float raises too: numpy's
+    float syntax is a subset of ``float()``'s, with equal values. Labels
+    reach a converter as Python strings, so strip and == are the row
+    loop's. A header alone, which numpy warns about, is left to the row
+    loop.
+    """
+    lines = commas = 0
+    last = b""
+    with open(path, "rb") as fh:
+        while chunk := fh.read(_SCAN_CHUNK):
+            if (b'"' in chunk or b"\0" in chunk or b"\r" in chunk
+                    or b"\n\n" in chunk or last + chunk[:1] == b"\n\n"):
+                return None
+            lines += chunk.count(b"\n")
+            commas += chunk.count(b",")
+            last = chunk[-1:]
+    lines += last != b"\n"
+    if lines < 2 or commas != lines * (n_cells - 1):
+        return None
+    read = functools.partial(np.loadtxt, path, delimiter=",", comments=None,
+                             skiprows=1, encoding="utf-8")
+
+    def label_code(cell):
+        cell = cell.strip()
+        return 1.0 if cell == positive_value else 0.0 if cell else -1.0
+
+    try:
+        codes = read(usecols=label_pos, converters=label_code, ndmin=1)
+        features = read(usecols=feature_pos, ndmin=2)
+    except ValueError:
+        return None
+    empty = codes < 0.0
+    finite = np.isfinite(features).all(axis=1)
+    keep = finite & ~empty
+    rejected = dict.fromkeys(REJECTION_REASONS, 0)
+    rejected["empty label"] = int(empty.sum())
+    rejected["non-finite feature"] = int((~finite & ~empty).sum())
+    if not keep.all():
+        features, codes = features[keep], codes[keep]
+    return features, codes, rejected
 
 
 def standardize_and_split(data: Dataset,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -134,7 +135,11 @@ def parse_dataset_source(text: str, label_column=None,
 
 
 def realize_dataset(source: DatasetSource, seed: int) -> Dataset:
-    """Materialize the dataset a source describes; deterministic in seed."""
+    """Materialize the dataset a source describes; deterministic in seed.
+
+    A CSV source that lost rows to ``load_csv``'s checks reports the count
+    of each reason in one line on stderr.
+    """
     if source.kind == "blobs":
         data = generate_blobs(n_per_class=source.n_per_class,
                               sigma=source.sigma, dims=source.dims,
@@ -142,8 +147,14 @@ def realize_dataset(source: DatasetSource, seed: int) -> Dataset:
         if source.keep_fraction is not None and source.keep_fraction < 1:
             data = subsample_positives(data, source.keep_fraction, seed=seed)
         return data
-    data, _rejected = load_csv(source.path, source.label_column,
-                               source.positive_value)
+    data, rejected = load_csv(source.path, source.label_column,
+                              source.positive_value)
+    lost = sum(rejected.values())
+    if lost:
+        counts = ", ".join(f"{reason} {count}"
+                           for reason, count in rejected.items())
+        print(f"{source.path}: rejected {lost} of {data.n + lost} data rows "
+              f"({counts})", file=sys.stderr)
     return data
 
 

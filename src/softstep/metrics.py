@@ -177,7 +177,8 @@ def auroc_soft_loss(batch: LabeledBatch, config: LossConfig):
     order = np.argsort(fpr, kind="stable")
     xs = np.concatenate(([0.0], fpr[order], [1.0]))
     ys = np.concatenate(([0.0], (tp / tpr_den)[order], [1.0]))
-    area = float(np.trapezoid(ys, xs))
+    # np.trapezoid's own formula; numpy < 2.0 names it np.trapz
+    area = float((np.diff(xs) * (ys[1:] + ys[:-1]) / 2.0).sum())
     # trapezoid area derivative at each interior vertex, neighbors fixed,
     # in threshold order and divided by the rate denominators
     unsort = np.argsort(order)

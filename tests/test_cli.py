@@ -205,6 +205,16 @@ def test_train_refuses_single_class_csv(tmp_path, capsys, labels, which):
     assert f"{which} usable row has label == 'pos'" in err
 
 
+def test_train_refuses_duplicate_column_names(tmp_path, capsys):
+    path = tmp_path / "dup.csv"
+    path.write_text("x,label,label\n" + "".join(
+        f"{i},{i % 2},{i % 2}\n" for i in range(40)))
+    code = main(["train", "--dataset", str(path), "--label-column", "label",
+                 "--positive-value", "1", *FAST])
+    assert code == 1
+    assert "duplicate column names ['label']" in capsys.readouterr().err
+
+
 def test_train_refuses_auroc_on_single_class_validation_split(tmp_path,
                                                              capsys):
     # 4 positives in 204 rows: this seed's validation split has none

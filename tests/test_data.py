@@ -1,10 +1,18 @@
+import csv
 import errno
+import math
 import os
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import softstep.data
 from softstep.data import (
+    REJECTION_REASONS,
     Dataset,
     batches,
     generate_blobs,
@@ -151,7 +159,7 @@ def test_load_csv_happy_path(tmp_path):
     path.write_text("x,y,label\n1.0,2.0,yes\n3.5,4.0,no\n5.0,0.5,yes\n"
                     "0.0,1.0,no\n")
     data, rejected = load_csv(path, "label", "yes")
-    assert rejected == 0
+    assert rejected == dict.fromkeys(REJECTION_REASONS, 0)
     assert data.features.shape == (4, 2)
     assert data.labels.tolist() == [1.0, 0.0, 1.0, 0.0]
 
@@ -168,7 +176,8 @@ def test_load_csv_rejects_bad_rows(tmp_path):
         "7.0,8.0\n"            # wrong column count
         "9.0,10.0,no\n")
     data, rejected = load_csv(path, "label", "yes")
-    assert rejected == 5
+    assert rejected == {"wrong cell count": 1, "empty label": 1,
+                        "unparseable feature": 2, "non-finite feature": 1}
     assert data.n == 2
     assert data.labels.tolist() == [1.0, 0.0]
 
@@ -210,6 +219,167 @@ def test_load_csv_refuses_a_single_class(tmp_path):
     # the only negative row is rejected, so every usable row is positive
     with pytest.raises(ValueError, match="every usable row has label == 'pos'"):
         load_csv(path, "label", "pos")
+
+
+def test_load_csv_refuses_duplicate_column_names(tmp_path):
+    # without the check the second "label" column became a feature
+    clean = tmp_path / "clean.csv"
+    clean.write_text("x,label, label\n0.1,1,1\n0.5,0,0\n0.2,1,1\n")
+    messy = tmp_path / "messy.csv"
+    messy.write_text("x,label,x,y\n0.1,1,2,3\noops,0,1,2\n\n0.5,0,1,2\n")
+    for path, names in ((clean, ["label"]), (messy, ["x"])):
+        message = f"duplicate column names {names} in header"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_csv(path, "label", "1")
+
+
+def _reference_load(path, label_column, positive_value):
+    """The row-by-row loop every load_csv result must equal."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = csv.reader(fh)
+        header = [h.strip() for h in next(rows)]
+        label_pos = header.index(label_column)
+        feature_pos = [i for i in range(len(header)) if i != label_pos]
+        features, labels = [], []
+        rejected = dict.fromkeys(REJECTION_REASONS, 0)
+        for cells in rows:
+            if len(cells) != len(header):
+                rejected["wrong cell count"] += 1
+                continue
+            label_cell = cells[label_pos].strip()
+            if not label_cell:
+                rejected["empty label"] += 1
+                continue
+            try:
+                feats = [float(cells[i]) for i in feature_pos]
+            except ValueError:
+                rejected["unparseable feature"] += 1
+                continue
+            if not all(map(math.isfinite, feats)):
+                rejected["non-finite feature"] += 1
+                continue
+            features.append(feats)
+            labels.append(1.0 if label_cell == positive_value else 0.0)
+    return (np.array(features, dtype=float).reshape(-1, len(feature_pos)),
+            np.array(labels, dtype=float), rejected)
+
+
+def _assert_loads_like_reference(path):
+    features, labels, rejected = _reference_load(path, "label", "pos")
+    if labels.sum() in (0, len(labels)):
+        with pytest.raises(ValueError, match="usable"):
+            load_csv(path, "label", "pos")
+        return
+    data, got = load_csv(path, "label", "pos")
+    assert data.features.tobytes() == features.tobytes()
+    assert data.labels.tobytes() == labels.tobytes()
+    assert got == rejected
+
+
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False, width=64)
+# cells the row path and numpy's reader read alike, finite or not
+_PLAIN_NUMBERS = st.one_of(
+    _FLOATS.map(repr), _FLOATS.map(lambda v: "%.6f" % v),
+    _FLOATS.map(lambda v: "%g" % v),
+    st.sampled_from(["nan", "-inf", "inf", "Infinity", "1e400", "-1e400",
+                     "1e-400", "-0", "+.5", "5.", " 1.5 ", "\xa02\xa0",
+                     "3\x0b", "\t4"]))
+_PLAIN_LABELS = st.sampled_from(
+    ["pos", "neg", " pos ", "\xa0pos\xa0", "pos\x0b", " neg", "", "  ",
+     "\xa0", "p#s", "Pos", "pos neg", "1"])
+# cells that need the row path, or that the row loop rejects
+_MESSY_CELLS = st.one_of(
+    st.sampled_from(["1_000", "0x10", "", "abc", "1#2", "#", "1e", ".",
+                     "١", '"1.5"', '"1,5"', '"pos"', "pos\x00", "1\x00",
+                     '"', "1\r2", "pos\r"]),
+    st.text(alphabet="0123456789.e+-_ #\"\xa0naif", max_size=6))
+
+
+@st.composite
+def _csv_files(draw, max_traps):
+    """CSV text: a label column among 1-3 features and plain rows, then up
+    to ``max_traps`` edits, each a kind of row or byte the row loop reads
+    differently from numpy's reader."""
+    n_features = draw(st.integers(1, 3))
+    names = [f"x{i}" for i in range(n_features)]
+    names.insert(draw(st.integers(0, n_features)), "label")
+    rows = [[draw(_PLAIN_LABELS) if name == "label" else draw(_PLAIN_NUMBERS)
+             for name in names] for _ in range(draw(st.integers(1, 20)))]
+    for _ in range(draw(st.integers(0, max_traps))):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        kind = draw(st.sampled_from(["cell", "longer", "shorter", "line"]))
+        if kind == "cell":
+            if row:
+                row[draw(st.integers(0, len(row) - 1))] = draw(_MESSY_CELLS)
+        elif kind == "longer":
+            row.append(draw(_PLAIN_NUMBERS))
+        elif kind == "shorter":
+            del row[-1:]
+        else:
+            rows.insert(draw(st.integers(0, len(rows))),
+                        [draw(st.sampled_from(["", "  ", "\t", "\xa0"]))])
+    newline = draw(st.sampled_from(["\n", "\n", "\r\n", "\r"])) \
+        if max_traps else "\n"
+    lines = [",".join(names)] + [",".join(row) for row in rows]
+    return newline.join(lines) + draw(st.sampled_from([newline, ""]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=_csv_files(max_traps=3))
+def test_load_csv_equals_the_row_loop_on_fuzzed_files(tmp_path_factory,
+                                                     text):
+    path = tmp_path_factory.getbasetemp() / "fuzzed.csv"
+    path.write_bytes(text.encode("utf-8"))
+    _assert_loads_like_reference(path)
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=_csv_files(max_traps=0))
+def test_plain_files_take_the_numpy_path(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "plain.csv"
+    path.write_bytes(text.encode("utf-8"))
+    with mock.patch.object(softstep.data, "_parse_rows",
+                           side_effect=AssertionError("took the row path")):
+        _assert_loads_like_reference(path)
+
+
+@pytest.mark.parametrize("text", [
+    "x,label\n1,pos\n2,neg\n\n",            # blank line: numpy skips it
+    "x,label\n1,pos\n  \n2,neg\n",          # whitespace-only line
+    "x,label\n1,pos,7\n2,neg\n",            # usecols hides the extra cell
+    "x,label\n1,pos,7\n2\n3,neg\n",         # commas add up, cells do not
+    "x,label\n1,pos,7\n\n2,neg\n",          # ... nor lines
+    "x,label\n1,pos\x00\n2,neg\n3,pos\n",   # "pos\x00" is not "pos"
+    "x,label\n1#5,pos\n2,neg\n3,pos\n",     # '#' is no comment
+    'x,label\n"1",pos\n2,neg\n',            # csv unquotes
+    'x,label\n1,"pos"\n2,neg\n',
+    "x,label\r\n1,pos\r\n2,neg\r\n",        # CRLF
+    "x,label\n1,pos\r\r\n2,neg\n",          # csv ends a row at a bare CR
+    "x,label\n1_000,pos\n2,neg\n",          # float() only
+    "label,x\n pos ,1\n\xa0neg\xa0,nan\n,2\nneg,1e400\nneg,3\n",
+])
+@pytest.mark.parametrize("chunk", [softstep.data._SCAN_CHUNK, 2])
+def test_load_csv_traps_match_the_row_loop(tmp_path, text, chunk):
+    # 2-byte reads put a "\n\n" across two chunks of the scan
+    path = tmp_path / "trap.csv"
+    path.write_bytes(text.encode("utf-8"))
+    with mock.patch.object(softstep.data, "_SCAN_CHUNK", chunk):
+        _assert_loads_like_reference(path)
+
+
+def test_workload_shaped_file_takes_the_numpy_path(tmp_path):
+    rng = np.random.default_rng(3)
+    positive = rng.random(2000) < 0.2
+    features = rng.normal(size=(2000, 8)) + 0.6 * positive[:, None]
+    path = tmp_path / "data.csv"
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(",".join(f"x{i}" for i in range(8)) + ",label\n")
+        for row, pos in zip(features.tolist(), positive.tolist()):
+            handle.write(",".join("%.6f" % v for v in row))
+            handle.write(",pos\n" if pos else ",neg\n")
+    with mock.patch.object(softstep.data, "_parse_rows",
+                           side_effect=AssertionError("took the row path")):
+        _assert_loads_like_reference(path)
 
 
 # -------------------------------------------------------------------- split

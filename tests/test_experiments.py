@@ -116,6 +116,22 @@ def test_realize_dataset_csv(tmp_path):
     assert data.n == 3 and data.n_positive == 2
 
 
+def test_realize_dataset_reports_rejected_rows_by_reason(tmp_path, capsys):
+    path = tmp_path / "d.csv"
+    path.write_text("a,b,y\n1,2,pos\n3,4,neg\n")
+    src = DatasetSource(kind="csv", path=str(path), label_column="y",
+                        positive_value="pos")
+    realize_dataset(src, seed=0)
+    assert capsys.readouterr().err == ""
+    path.write_text("a,b,y\n1,2,pos\n3,4,neg\n5,x,pos\n6,7\n,nan,neg\n"
+                    "8,inf,neg\n9,10,\n")
+    data = realize_dataset(src, seed=0)
+    assert data.n == 2
+    assert capsys.readouterr().err == (
+        f"{path}: rejected 5 of 7 data rows (wrong cell count 1, "
+        "empty label 1, unparseable feature 2, non-finite feature 1)\n")
+
+
 # ------------------------------------------------------------ spec checking
 
 
