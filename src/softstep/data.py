@@ -15,7 +15,6 @@ from one user-facing seed.
 from __future__ import annotations
 
 import csv
-import functools
 import math
 import os
 from array import array
@@ -230,18 +229,15 @@ def _parse_with_numpy(path, n_cells, label_pos, feature_pos, positive_value):
     None unless numpy provably reads the file as the csv module does. The
     file must hold no quote (numpy does not unquote), no carriage return
     (the csv module ends a row at a bare one), no NUL byte (numpy does not
-    document how it reads one) and no blank line (numpy skips it, the row
-    loop rejects it). Each of the two passes raises on a row that lacks a
-    column it reads, and between them they read the last one, so every
-    row has at least ``n_cells`` cells; a total of ``n_cells - 1`` commas
-    per line then rules out longer rows, which ``usecols`` would silently
-    truncate. A feature numpy cannot parse as a float raises too: numpy's
-    float syntax is a subset of ``float()``'s, with equal values. Labels
-    reach a converter as Python strings, so strip and == are the row
-    loop's. A header alone, which numpy warns about, is left to the row
-    loop.
+    document how it reads one), no blank line (numpy skips it, the row
+    loop rejects it) and at least one data line (numpy warns on none).
+    numpy raises on a row whose cell count differs from the first data
+    row's, and the first row's count must be the header's. A feature numpy
+    cannot parse as a float raises too: numpy's float syntax is a subset of
+    ``float()``'s, with equal values. Labels reach a converter as Python
+    strings, so strip and == are the row loop's.
     """
-    lines = commas = 0
+    lines = 0
     last = b""
     with open(path, "rb") as fh:
         while chunk := fh.read(_SCAN_CHUNK):
@@ -249,23 +245,25 @@ def _parse_with_numpy(path, n_cells, label_pos, feature_pos, positive_value):
                     or b"\n\n" in chunk or last + chunk[:1] == b"\n\n"):
                 return None
             lines += chunk.count(b"\n")
-            commas += chunk.count(b",")
             last = chunk[-1:]
-    lines += last != b"\n"
-    if lines < 2 or commas != lines * (n_cells - 1):
+    if lines + (last != b"\n") < 2:
         return None
-    read = functools.partial(np.loadtxt, path, delimiter=",", comments=None,
-                             skiprows=1, encoding="utf-8")
 
     def label_code(cell):
         cell = cell.strip()
-        return 1.0 if cell == positive_value else 0.0 if cell else -1.0
+        return -1.0 if not cell else 1.0 if cell == positive_value else 0.0
 
     try:
-        codes = read(usecols=label_pos, converters=label_code, ndmin=1)
-        features = read(usecols=feature_pos, ndmin=2)
+        cells = np.loadtxt(path, delimiter=",", comments=None, skiprows=1,
+                           encoding="utf-8", converters={label_pos: label_code},
+                           ndmin=2)
     except ValueError:
         return None
+    if cells.shape[1] != n_cells:
+        return None
+    codes = cells[:, label_pos].copy()
+    features = cells[:, feature_pos]
+    del cells  # freed before the masks copy rows
     empty = codes < 0.0
     finite = np.isfinite(features).all(axis=1)
     keep = finite & ~empty

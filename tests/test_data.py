@@ -264,13 +264,14 @@ def _reference_load(path, label_column, positive_value):
             np.array(labels, dtype=float), rejected)
 
 
-def _assert_loads_like_reference(path):
-    features, labels, rejected = _reference_load(path, "label", "pos")
+def _assert_loads_like_reference(path, positive_value="pos"):
+    features, labels, rejected = _reference_load(path, "label",
+                                                 positive_value)
     if labels.sum() in (0, len(labels)):
         with pytest.raises(ValueError, match="usable"):
-            load_csv(path, "label", "pos")
+            load_csv(path, "label", positive_value)
         return
-    data, got = load_csv(path, "label", "pos")
+    data, got = load_csv(path, "label", positive_value)
     assert data.features.tobytes() == features.tobytes()
     assert data.labels.tobytes() == labels.tobytes()
     assert got == rejected
@@ -325,12 +326,13 @@ def _csv_files(draw, max_traps):
 
 
 @settings(max_examples=400, deadline=None)
-@given(text=_csv_files(max_traps=3))
+@given(text=_csv_files(max_traps=3), positive_value=st.sampled_from(
+    ["pos", "", "neg"]))
 def test_load_csv_equals_the_row_loop_on_fuzzed_files(tmp_path_factory,
-                                                     text):
+                                                     text, positive_value):
     path = tmp_path_factory.getbasetemp() / "fuzzed.csv"
     path.write_bytes(text.encode("utf-8"))
-    _assert_loads_like_reference(path)
+    _assert_loads_like_reference(path, positive_value)
 
 
 @settings(max_examples=150, deadline=None)
@@ -346,9 +348,14 @@ def test_plain_files_take_the_numpy_path(tmp_path_factory, text):
 @pytest.mark.parametrize("text", [
     "x,label\n1,pos\n2,neg\n\n",            # blank line: numpy skips it
     "x,label\n1,pos\n  \n2,neg\n",          # whitespace-only line
-    "x,label\n1,pos,7\n2,neg\n",            # usecols hides the extra cell
-    "x,label\n1,pos,7\n2\n3,neg\n",         # commas add up, cells do not
-    "x,label\n1,pos,7\n\n2,neg\n",          # ... nor lines
+    "x,label\n1,pos,7\n2,neg\n",            # a longer row
+    "x,label\n1,pos,7\n2\n3,neg\n",         # a longer and a shorter row
+    "x,label\n1,pos,7\n2,neg,8\n",          # every row longer
+    "x,y,label\n1,pos\n2,neg\n",            # every row shorter
+    "x,label\n1,pos,7\n\n2,neg\n",
+    "x,label\n1,\n2,neg\n3,\n4,pos\n",      # empty labels
+    "x,label\n",                             # a header alone: numpy warns
+    "x,label",
     "x,label\n1,pos\x00\n2,neg\n3,pos\n",   # "pos\x00" is not "pos"
     "x,label\n1#5,pos\n2,neg\n3,pos\n",     # '#' is no comment
     'x,label\n"1",pos\n2,neg\n',            # csv unquotes
@@ -359,12 +366,16 @@ def test_plain_files_take_the_numpy_path(tmp_path_factory, text):
     "label,x\n pos ,1\n\xa0neg\xa0,nan\n,2\nneg,1e400\nneg,3\n",
 ])
 @pytest.mark.parametrize("chunk", [softstep.data._SCAN_CHUNK, 2])
-def test_load_csv_traps_match_the_row_loop(tmp_path, text, chunk):
-    # 2-byte reads put a "\n\n" across two chunks of the scan
+@pytest.mark.parametrize("positive_value", ["pos", ""])
+@pytest.mark.filterwarnings("error")
+def test_load_csv_traps_match_the_row_loop(tmp_path, text, chunk,
+                                           positive_value):
+    # 2-byte reads put a "\n\n" across two chunks of the scan; an empty
+    # positive value must not turn an empty label positive
     path = tmp_path / "trap.csv"
     path.write_bytes(text.encode("utf-8"))
     with mock.patch.object(softstep.data, "_SCAN_CHUNK", chunk):
-        _assert_loads_like_reference(path)
+        _assert_loads_like_reference(path, positive_value)
 
 
 def test_workload_shaped_file_takes_the_numpy_path(tmp_path):
