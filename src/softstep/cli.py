@@ -1,11 +1,11 @@
 """Command-line entry point.
 
-Subcommands: train, evaluate, batch-sweep, loss-grid, fbeta-sweep,
-sigmoid-compare.  Settings resolve in precedence order: command-line flag,
-then the config file section named after the subcommand, then the config
-file's [DEFAULT] section, then built-in defaults.  Exit codes: 0 full
-success, 2 when some cells failed (error rows in the table), 1 on spec
-errors or a fatal failure of a single-model command.
+COMMANDS lists the subcommands.  Settings resolve in precedence order:
+command-line flag, then the config file section named after the
+subcommand, then the config file's [DEFAULT] section, then built-in
+defaults.  Exit codes: 0 full success, 2 when some cells failed (error
+rows in the table), 1 on usage or spec errors or a fatal failure of a
+single-model command.
 
 Artifacts written to --out contain no wall-clock fields, so identical
 specs produce byte-identical files; timing goes to stderr and to the
@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import json
 import sys
+from typing import NamedTuple
 
 from softstep.confusion import LabeledBatch
 from softstep.data import write_atomic
 from softstep.experiments import (
-    FORMATS,
     ExperimentSpec,
     loss_config_for,
     parse_dataset_source,
@@ -35,37 +34,57 @@ from softstep.experiments import (
     train_config_for,
     trial_model,
 )
-from softstep.metrics import APPROXIMATIONS, evaluate_over_grid
+from softstep.metrics import (
+    APPROXIMATIONS,
+    FORMATS,
+    MetricTable,
+    evaluate_over_grid,
+    json_text,
+)
 from softstep.network import forward, load_checkpoint, save_checkpoint
-from softstep.training import train
+from softstep.training import TrainReport, train
 
-_DEFAULT_LOSSES = {
-    "train": "f_1",
-    "evaluate": "f_1",
-    "batch-sweep": "f_1",
-    "loss-grid": "accuracy,f_1,auroc",
-    "fbeta-sweep": "f_1",
-    "sigmoid-compare": "accuracy,f_1",
+
+class Command(NamedTuple):
+    """A subcommand: its default --loss, its runner and its file flags.
+
+    ``runner`` names a function of this module, looked up when the command
+    runs so that a wrapper set on the module attribute is the one called.
+    It takes the spec and each file flag as a keyword and returns the
+    Artifact for --out.
+    """
+
+    losses: str
+    runner: str
+    required: tuple[str, ...] = ()
+    optional: tuple[str, ...] = ()
+
+    @property
+    def files(self) -> tuple[str, ...]:
+        return self.required + self.optional
+
+
+COMMANDS = {
+    "train": Command("f_1", "_train_single",
+                     optional=("checkpoint", "report")),
+    "evaluate": Command("f_1", "_evaluate_checkpoint",
+                        required=("checkpoint",)),
+    "batch-sweep": Command("f_1", "run_batch_sweep"),
+    "loss-grid": Command("accuracy,f_1,auroc", "run_loss_grid"),
+    "fbeta-sweep": Command("f_1", "run_fbeta_sweep"),
+    "sigmoid-compare": Command("accuracy,f_1", "run_sigmoid_compare"),
 }
 
-_RUNNERS = {
-    "batch-sweep": run_batch_sweep,
-    "loss-grid": run_loss_grid,
-    "fbeta-sweep": run_fbeta_sweep,
-    "sigmoid-compare": run_sigmoid_compare,
+_FILE_HELP = {
+    "checkpoint": "weights file: written by train, read by evaluate",
+    "report": "full diagnostics JSON (includes wall-clock time)",
 }
 
 
-def _comma_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in text.split(",") if v.strip())
-
-
-def _comma_ints(text: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in text.split(",") if v.strip())
-
-
-def _comma_names(text: str) -> tuple[str, ...]:
-    return tuple(v.strip() for v in text.split(",") if v.strip())
+def _comma(convert):
+    """Converter of a comma list; blank items are skipped."""
+    return lambda text: tuple(convert(v.strip()) for v in text.split(",")
+                              if v.strip())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -74,8 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Train and evaluate binary classifiers that optimize "
                     "confusion-matrix metrics directly.")
     subparsers = parser.add_subparsers(dest="command", required=True)
-    for command in _DEFAULT_LOSSES:
-        sub = subparsers.add_parser(command)
+    for name, command in COMMANDS.items():
+        sub = subparsers.add_parser(name)
         sub.add_argument("--config", help="INI config file")
         sub.add_argument("--dataset",
                          help="'blobs[:key=value,...]' (keys n_per_class, "
@@ -101,12 +120,9 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--dropout", type=float)
         sub.add_argument("--out")
         sub.add_argument("--format", choices=FORMATS)
-        sub.add_argument("--checkpoint",
-                         help="weights file: written by train, read by "
-                              "evaluate")
-        sub.add_argument("--report",
-                         help="train only: full diagnostics JSON "
-                              "(includes wall-clock time)")
+        for flag in command.files:
+            sub.add_argument(f"--{flag}", help=_FILE_HELP[flag],
+                             required=flag in command.required)
     return parser
 
 
@@ -146,7 +162,7 @@ def build_spec(args) -> ExperimentSpec:
     batch_size = defaults.batch_size
     raw_batch = pick("batch_size", str, None)
     if raw_batch is not None:
-        sizes = _comma_ints(str(raw_batch))
+        sizes = _comma(int)(str(raw_batch))
         if args.command == "batch-sweep":
             batch_sizes = sizes
         elif len(sizes) == 1:
@@ -157,12 +173,12 @@ def build_spec(args) -> ExperimentSpec:
     return ExperimentSpec(
         command=args.command,
         dataset=dataset,
-        losses=_comma_names(pick("loss", str,
-                                 _DEFAULT_LOSSES[args.command])),
+        losses=_comma(str)(pick("loss", str,
+                                COMMANDS[args.command].losses)),
         beta=pick("beta", float, defaults.beta),
-        betas=pick("betas", _comma_floats, defaults.betas),
+        betas=pick("betas", _comma(float), defaults.betas),
         tau=pick("tau", float, defaults.tau),
-        tau_grid=pick("tau_grid", _comma_floats, defaults.tau_grid),
+        tau_grid=pick("tau_grid", _comma(float), defaults.tau_grid),
         delta=pick("delta", float, defaults.delta),
         approximation=pick("approximation", str, defaults.approximation),
         batch_size=batch_size,
@@ -178,68 +194,59 @@ def build_spec(args) -> ExperimentSpec:
     )
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        write_atomic(out, text.encode("utf-8"))
-    else:
-        sys.stdout.write(text)
-
-
-def _train_single(spec: ExperimentSpec, checkpoint: str | None,
-                  report_path: str | None) -> int:
+def _train_single(spec: ExperimentSpec, checkpoint: str | None = None,
+                  report: str | None = None) -> TrainReport:
     split = prepared_split(spec)
     label, loss = loss_config_for(spec, spec.losses[0], spec.approximation)
     model = trial_model(spec, split.train.dims, spec.seed)
-    report = train(model, split, train_config_for(spec, loss, spec.seed))
+    result = train(model, split, train_config_for(spec, loss, spec.seed))
     if checkpoint:
         save_checkpoint(model, checkpoint)
-    if report_path:
-        write_atomic(report_path, report.to_json().encode("utf-8"))
-    print(f"trained {label} for {report.epochs_run} epochs "
-          f"(best epoch {report.best_epoch}) "
-          f"in {report.duration_seconds:.1f}s", file=sys.stderr)
-    summary = report.summary_dict()
-    summary.pop("duration_seconds")
-    if spec.format == "json":
-        _emit(json.dumps(summary, indent=2, sort_keys=True) + "\n", spec.out)
-    else:
-        _emit(report.final_metrics.to_tsv(), spec.out)
-    return 0
+    if report:
+        write_atomic(report,
+                     json_text(result.summary_dict()).encode("utf-8"))
+    print(f"trained {label} for {result.epochs_run} epochs "
+          f"(best epoch {result.best_epoch}) "
+          f"in {result.duration_seconds:.1f}s", file=sys.stderr)
+    return result
 
 
-def _evaluate_checkpoint(spec: ExperimentSpec, checkpoint: str) -> int:
+def _evaluate_checkpoint(spec: ExperimentSpec,
+                         checkpoint: str) -> MetricTable:
     model = load_checkpoint(checkpoint)
     split = prepared_split(spec)
     _, loss = loss_config_for(spec, spec.losses[0], spec.approximation)
     preds = forward(model, split.test.features)
-    table = evaluate_over_grid(LabeledBatch(preds, split.test.labels),
-                               loss.tau_grid, beta=loss.beta,
-                               epsilon=loss.epsilon)
-    text = table.to_json() if spec.format == "json" else table.to_tsv()
-    _emit(text, spec.out)
-    return 0
+    return evaluate_over_grid(LabeledBatch(preds, split.test.labels),
+                              loss.tau_grid, beta=loss.beta,
+                              epsilon=loss.epsilon)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed the usage error and exits 2, which here
+        # means failed cells
+        return 1 if exc.code == 2 else exc.code
+    command = COMMANDS[args.command]
     try:
         spec = build_spec(args)
-        if args.command == "evaluate" and not args.checkpoint:
-            raise ValueError("evaluate requires --checkpoint")
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        if args.command == "train":
-            return _train_single(spec, args.checkpoint, args.report)
-        if args.command == "evaluate":
-            return _evaluate_checkpoint(spec, args.checkpoint)
-        table = _RUNNERS[args.command](spec)
-        _emit(table.render(spec.format), spec.out)
+        artifact = globals()[command.runner](
+            spec, **{flag: getattr(args, flag) for flag in command.files})
+        text = artifact.render(spec.format)
+        if spec.out:
+            write_atomic(spec.out, text.encode("utf-8"))
+        else:
+            sys.stdout.write(text)
     except Exception as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    if table.has_errors:
+    if artifact.has_errors:
         print("warning: some cells failed; see error rows", file=sys.stderr)
         return 2
     return 0

@@ -75,10 +75,6 @@ class Dataset:
     def n_positive(self) -> int:
         return int(np.sum(self.labels == 1.0))
 
-    @property
-    def positive_fraction(self) -> float:
-        return self.n_positive / self.n
-
 
 @dataclass(frozen=True)
 class SplitDataset:

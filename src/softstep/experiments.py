@@ -9,7 +9,6 @@ failed cell becomes an explicit error row instead of aborting siblings.
 
 from __future__ import annotations
 
-import json
 import re
 import sys
 from dataclasses import dataclass, field
@@ -27,17 +26,17 @@ from softstep.data import (
 )
 from softstep.metrics import (
     APPROXIMATIONS,
+    FORMATS,
+    Artifact,
     LossConfig,
     TAU_GRID_DEFAULT,
     evaluate_over_grid,
     f_beta,
+    json_text,
 )
 from softstep.network import MlpModel, forward
 from softstep.training import TrainConfig, train
 
-COMMANDS = ("train", "evaluate", "batch-sweep", "loss-grid",
-            "fbeta-sweep", "sigmoid-compare")
-FORMATS = ("tsv", "json")
 BATCH_SIZES_DEFAULT = (128, 1024, 2048, 4096)
 BETAS_DEFAULT = (1.0, 2.0, 3.0)
 
@@ -103,6 +102,11 @@ class DatasetSource:
                     "csv source needs label_column and positive_value")
 
 
+# --dataset blobs key: (DatasetSource field, converter)
+_BLOBS_KEYS = {"n_per_class": ("n_per_class", int), "sigma": ("sigma", float),
+               "dims": ("dims", int), "keep": ("keep_fraction", float)}
+
+
 def parse_dataset_source(text: str, label_column=None,
                          positive_value=None) -> DatasetSource:
     """Parse a --dataset argument.
@@ -119,16 +123,10 @@ def parse_dataset_source(text: str, label_column=None,
                 raise ValueError(f"bad blobs parameter {item!r}")
             key, value = item.split("=", 1)
             key = key.strip()
-            if key == "n_per_class":
-                kwargs["n_per_class"] = int(value)
-            elif key == "sigma":
-                kwargs["sigma"] = float(value)
-            elif key == "dims":
-                kwargs["dims"] = int(value)
-            elif key == "keep":
-                kwargs["keep_fraction"] = float(value)
-            else:
+            if key not in _BLOBS_KEYS:
                 raise ValueError(f"unknown blobs parameter {key!r}")
+            name, convert = _BLOBS_KEYS[key]
+            kwargs[name] = convert(value)
         return DatasetSource(kind="blobs", **kwargs)
     return DatasetSource(kind="csv", path=text, label_column=label_column,
                          positive_value=positive_value)
@@ -188,6 +186,7 @@ class ExperimentSpec:
     format: str = "tsv"
 
     def __post_init__(self):
+        from softstep.cli import COMMANDS  # the one list of commands
         if self.command not in COMMANDS:
             raise ValueError(f"unknown command {self.command!r}")
         for name in ("losses", "betas", "batch_sizes"):
@@ -238,7 +237,7 @@ _COLUMNS = ("experiment", "loss", "approximation", "metric", "batch_size",
 
 
 @dataclass(frozen=True)
-class ResultTable:
+class ResultTable(Artifact):
     rows: tuple[ResultRow, ...]
 
     @property
@@ -261,16 +260,8 @@ class ResultTable:
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
-        payload = [{col: getattr(row, col) for col in _COLUMNS}
-                   for row in self.rows]
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-    def render(self, fmt: str) -> str:
-        if fmt == "tsv":
-            return self.to_tsv()
-        if fmt == "json":
-            return self.to_json()
-        raise ValueError(f"unknown format {fmt!r}")
+        return json_text([{col: getattr(row, col) for col in _COLUMNS}
+                          for row in self.rows])
 
 
 # ------------------------------------------------------------ trial plumbing
@@ -314,13 +305,10 @@ def _grid_means(model: MlpModel, split: SplitDataset,
     comparable on the same F1 column.
     """
     preds = forward(model, split.test.features)
-    batch = LabeledBatch(preds, split.test.labels)
-    table = evaluate_over_grid(batch, spec.tau_grid, beta=1.0)
-    means = {}
-    for row in table.rows:
-        if row.tau == "mean" or row.name == "auroc":
-            means[row.name] = row.value
-    return means
+    table = evaluate_over_grid(LabeledBatch(preds, split.test.labels),
+                               spec.tau_grid, beta=1.0)
+    return {row.name: row.value for row in table.rows
+            if row.tau == "mean" or row.name == "auroc"}
 
 
 def _run_cell(spec: ExperimentSpec, split: SplitDataset,

@@ -76,12 +76,6 @@ class HeavisideParams:
             if not (np.isfinite(slope) and slope > 0.0):
                 raise ValueError(f"{name} must be positive and finite, got {slope}")
 
-    def value(self, p):
-        return heaviside_approx(p, self)
-
-    def grad(self, p):
-        return heaviside_approx_grad(p, self)
-
 
 def heaviside_exact(p, tau: float):
     """Exact step: 1 where p >= tau, else 0. Elementwise on arrays."""
@@ -205,12 +199,6 @@ class SigmoidFit:
             raise ValueError(f"steepness k must be positive, got {self.k}")
         if not (np.isfinite(self.residual) and self.residual >= 0.0):
             raise ValueError(f"residual must be >= 0, got {self.residual}")
-
-    def value(self, p):
-        return sigmoid_approx(p, self)
-
-    def grad(self, p):
-        return sigmoid_approx_grad(p, self)
 
 
 def logistic(z):

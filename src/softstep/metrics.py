@@ -25,6 +25,7 @@ EPSILON_DEFAULT = 1e-7
 TAU_GRID_DEFAULT = tuple(i / 10 for i in range(1, 10))
 
 OBJECTIVES = ("accuracy", "f_beta", "auroc", "bce")
+FORMATS = ("tsv", "json")
 
 
 class UndefinedMetricError(ValueError):
@@ -236,8 +237,26 @@ def auroc_hard(batch: LabeledBatch) -> float:
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
+class Artifact:
+    """What a command writes to --out; subclasses give to_tsv and to_json."""
+
+    has_errors = False
+
+    def render(self, fmt: str) -> str:
+        if fmt == "tsv":
+            return self.to_tsv()
+        if fmt == "json":
+            return self.to_json()
+        raise ValueError(f"unknown format {fmt!r}")
+
+
+def json_text(payload) -> str:
+    """An artifact's JSON: indented, keys sorted, one final newline."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 @dataclass(frozen=True)
-class MetricTable:
+class MetricTable(Artifact):
     """Evaluation report: per-threshold rows, mean rows, and the AUROC row."""
 
     rows: tuple[MetricValue, ...]
@@ -274,7 +293,7 @@ class MetricTable:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        return json_text(self.to_dict())
 
 
 def evaluate_over_grid(batch: LabeledBatch, tau_grid=TAU_GRID_DEFAULT,

@@ -119,9 +119,6 @@ class ModelGrads:
     weights: list
     biases: list
 
-    def parameters(self):
-        return _interleave(self.weights, self.biases)
-
     def flat(self) -> np.ndarray:
         """The gradients in the order of ``MlpModel.flat``, in one array."""
         # unrolled: inside a training step this measured about 6 us per

@@ -14,7 +14,6 @@ aborting the run.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 
@@ -23,10 +22,12 @@ import numpy as np
 from .confusion import LabeledBatch
 from .data import SplitDataset, batches
 from .metrics import (
+    Artifact,
     LossConfig,
     MetricTable,
     UndefinedMetricError,
     evaluate_over_grid,
+    json_text,
     objective_loss,
 )
 from .network import AdamState, MlpModel, adam_step, backward, forward
@@ -62,7 +63,7 @@ class TrainConfig:
 
 
 @dataclass(frozen=True)
-class TrainReport:
+class TrainReport(Artifact):
     """Loss histories plus the stopping decision and final test metrics."""
 
     train_loss: tuple
@@ -71,7 +72,7 @@ class TrainReport:
     best_epoch: int
     best_val_loss: float
     skipped_batches: int
-    final_metrics: MetricTable | None
+    final_metrics: MetricTable
     duration_seconds: float
 
     def summary_dict(self) -> dict:
@@ -86,12 +87,17 @@ class TrainReport:
             "best_val_loss": clean(self.best_val_loss),
             "skipped_batches": self.skipped_batches,
             "duration_seconds": self.duration_seconds,
-            "final_metrics": (None if self.final_metrics is None
-                              else self.final_metrics.to_dict()),
+            "final_metrics": self.final_metrics.to_dict(),
         }
 
+    def to_tsv(self) -> str:
+        return self.final_metrics.to_tsv()
+
     def to_json(self) -> str:
-        return json.dumps(self.summary_dict(), indent=2, sort_keys=True) + "\n"
+        """The summary without its wall-clock time: equal runs, equal bytes."""
+        return json_text({key: value for key, value in
+                          self.summary_dict().items()
+                          if key != "duration_seconds"})
 
 
 def _finite_or_diverged(preds, context):

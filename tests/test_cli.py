@@ -108,6 +108,35 @@ def test_main_evaluate_requires_checkpoint(capsys):
     assert "checkpoint" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["loss-grid", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+    (["loss-grid", "--trials", "x"], "invalid int value: 'x'"),
+])
+def test_usage_errors_exit_1(capsys, argv, message):
+    # 2 is kept for tables with failed cells
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: softstep")
+    assert message in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["loss-grid", "--checkpoint", "m.ckpt", "--report", "r.json"],
+    ["evaluate", "--checkpoint", "m.ckpt", "--report", "r.json"],
+])
+def test_file_flags_a_command_ignores_are_usage_errors(tmp_path, capsys,
+                                                      monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(["train", "--dataset", TOY_DATA, *FAST,
+                 "--checkpoint", "m.ckpt"]) == 0
+    weights = (tmp_path / "m.ckpt").read_bytes()
+    capsys.readouterr()
+    assert main([*argv, "--dataset", TOY_DATA, *FAST]) == 1
+    assert "unrecognized arguments:" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["m.ckpt"]
+    assert (tmp_path / "m.ckpt").read_bytes() == weights
+
+
 def test_main_partial_failure_exit_code(tmp_path, capsys):
     # lone positive lands in the train split at this seed, so the auroc
     # cell dies on an all-negative validation split; accuracy survives

@@ -12,7 +12,12 @@ from softstep.confusion import (
     aggregate_soft,
     aggregate_soft_grad,
 )
-from softstep.heaviside import HeavisideParams, fit_sigmoid, heaviside_exact
+from softstep.heaviside import (
+    HeavisideParams,
+    fit_sigmoid,
+    heaviside_approx,
+    heaviside_exact,
+)
 
 
 P_DEFAULT = HeavisideParams(0.5, 0.1)
@@ -89,8 +94,8 @@ def test_tp_soft_examples():
 def test_soft_membership_branch_table():
     # all four cells for a positive above threshold and a negative below
     p_hi, p_lo = 0.75, 0.25
-    h_hi = P_DEFAULT.value(p_hi)   # 0.9
-    h_lo = P_DEFAULT.value(p_lo)   # 0.1
+    h_hi = heaviside_approx(p_hi, P_DEFAULT)   # 0.9
+    h_lo = heaviside_approx(p_lo, P_DEFAULT)   # 0.1
     hi = memberships(p_hi, 1)
     assert hi.tp == pytest.approx(h_hi)
     assert hi.fp == pytest.approx(1 - h_hi)
@@ -261,7 +266,7 @@ def test_aggregate_hard_partition():
     for _ in range(50):
         batch = random_batch(rng, int(rng.integers(1, 100)))
         counts = aggregate_hard(batch, float(rng.uniform(0.1, 0.9)))
-        assert counts.total == batch.n
+        assert counts.tp + counts.fp + counts.fn + counts.tn == batch.n
 
 
 def test_aggregate_hard_all_negative():

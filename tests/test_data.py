@@ -44,7 +44,6 @@ def test_dataset_properties():
     assert data.n == 8
     assert data.dims == 3
     assert data.n_positive == 2
-    assert data.positive_fraction == 0.25
 
 
 # -------------------------------------------------------------------- blobs
@@ -53,7 +52,7 @@ def test_dataset_properties():
 def test_generate_blobs_defaults():
     data = generate_blobs(seed=1)
     assert data.features.shape == (10000, 3)
-    assert data.positive_fraction == 0.5
+    assert data.n_positive == 5000
     # negatives first, positives second
     assert np.all(data.labels[:5000] == 0.0)
     assert np.all(data.labels[5000:] == 1.0)
@@ -116,11 +115,9 @@ def test_subsample_totals_match_counting_contract():
     half = subsample_positives(data, 0.5, seed=11)
     assert half.n == 7500
     assert half.n_positive == 2500
-    assert half.positive_fraction == pytest.approx(1 / 3)
     quarter = subsample_positives(data, 0.25, seed=11)
     assert quarter.n == 6250
     assert quarter.n_positive == 1250
-    assert quarter.positive_fraction == pytest.approx(0.2)
 
 
 def test_subsample_keeps_every_negative():

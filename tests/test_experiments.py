@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 import softstep.experiments
+from softstep.cli import COMMANDS
 from softstep.confusion import LabeledBatch, aggregate_hard
 from softstep.experiments import (
     BATCH_SIZES_DEFAULT,
-    COMMANDS,
     DatasetSource,
     ExperimentSpec,
     ResultRow,

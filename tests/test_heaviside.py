@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from softstep.heaviside import (
+    ApproximationStack,
     HeavisideParams,
     LookupTable,
     SigmoidFit,
@@ -317,13 +318,14 @@ def test_fit_logistic_rejects_nonfinite_target():
 
 
 def test_duck_typed_interface():
+    # both families stack into the one value_and_grad the losses call
     params = HeavisideParams(0.6, 0.1)
     fit = fit_sigmoid(params)
     for approx in (params, fit):
         assert approx.tau == pytest.approx(0.6, abs=0.05)
-        v = approx.value(np.array([0.2, 0.6, 0.9]))
-        g = approx.grad(np.array([0.2, 0.6, 0.9]))
-        assert v.shape == (3,) and g.shape == (3,)
+        v, g = ApproximationStack([approx]).value_and_grad(
+            np.array([0.2, 0.6, 0.9]))
+        assert v.shape == (1, 3) and g.shape == (1, 3)
         assert np.all(g > 0.0)
 
 

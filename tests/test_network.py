@@ -25,6 +25,11 @@ def toy_model(input_dim=3, dropout=0.0, seed=0):
                            rng=np.random.default_rng(seed))
 
 
+def grad_arrays(grads):
+    """Gradient arrays in the order of ``model.parameters()``."""
+    return [g for pair in zip(grads.weights, grads.biases) for g in pair]
+
+
 def param_gradient_fd(model, features, labels, loss_fn, index, coord, h=1e-5):
     """Central difference of the scalar loss along one parameter coordinate."""
     param = model.parameters()[index]
@@ -124,7 +129,7 @@ def test_backward_zero_loss_grad_gives_zero_param_grads():
     model = toy_model(seed=17)
     forward(model, np.random.default_rng(18).normal(size=(6, 3)))
     grads = backward(model, np.zeros(6))
-    for g in grads.parameters():
+    for g in grad_arrays(grads):
         assert np.all(g == 0.0)
 
 
@@ -136,7 +141,7 @@ def test_backward_matches_finite_differences_bce():
     preds = forward(model, x)
     _, loss_grad = bce_loss(LabeledBatch(preds, y))
     grads = backward(model, loss_grad)
-    for index, grad in enumerate(grads.parameters()):
+    for index, grad in enumerate(grad_arrays(grads)):
         flat = grad.reshape(-1)
         coords = range(len(flat)) if len(flat) < 40 else \
             rng.choice(len(flat), 25, replace=False)
@@ -161,7 +166,7 @@ def test_backward_matches_finite_differences_fbeta():
             break
     _, loss_grad = loss_fn(LabeledBatch(preds, y))
     grads = backward(model, loss_grad)
-    for index, grad in enumerate(grads.parameters()):
+    for index, grad in enumerate(grad_arrays(grads)):
         flat = grad.reshape(-1)
         coords = rng.choice(len(flat), min(20, len(flat)), replace=False)
         for coord in coords:
@@ -187,7 +192,7 @@ def test_backward_with_active_dropout_matches_fd_under_fixed_masks():
     h = 1e-5
     for index in (0, 2, 4):
         flat_param = model.parameters()[index].reshape(-1)
-        flat_grad = grads.parameters()[index].reshape(-1)
+        flat_grad = grad_arrays(grads)[index].reshape(-1)
         for coord in (0, len(flat_param) // 2, len(flat_param) - 1):
             original = flat_param[coord]
             flat_param[coord] = original + h

@@ -9,7 +9,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from softstep.confusion import LabeledBatch, aggregate_hard, soft_confusion
-from softstep.heaviside import cached_approximation, cached_stack
+from softstep.heaviside import (
+    HeavisideParams,
+    cached_approximation,
+    cached_stack,
+    heaviside_approx,
+    sigmoid_approx,
+)
 from softstep.metrics import (
     APPROXIMATIONS,
     LossConfig,
@@ -46,7 +52,9 @@ interior = st.floats(2 * MARGIN, 1.0 - 2 * MARGIN)
 
 def reference_counts(batch, approx):
     """Soft (tp, fp, fn, tn) at one threshold, straight from the case table."""
-    h = np.asarray(approx.value(batch.predictions))
+    value = (heaviside_approx if isinstance(approx, HeavisideParams)
+             else sigmoid_approx)
+    h = value(batch.predictions, approx)
     positive = batch.labels == 1.0
     below = batch.predictions < approx.tau
     cells = (np.where(positive | below, h, 1.0 - h),
