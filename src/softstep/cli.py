@@ -1,11 +1,14 @@
 """Command-line entry point.
 
-COMMANDS lists the subcommands.  Settings resolve in precedence order:
-command-line flag, then the config file section named after the
-subcommand, then the config file's [DEFAULT] section, then built-in
-defaults.  Exit codes: 0 full success, 2 when some cells failed (error
-rows in the table), 1 on usage or spec errors or a fatal failure of a
-single-model command.
+COMMANDS lists the subcommands and SETTINGS the settings each one takes.
+A setting is a flag and, under its argparse dest (``tau_grid`` for
+``--tau-grid``), a config-file key.  Precedence: flag, then the config
+file section named after the subcommand, then its [DEFAULT] section,
+then ExperimentSpec's defaults.  A config key that names no setting is
+refused; --config, --checkpoint and --report are flags only.  Exit
+codes: 0 full success, 2 when some cells failed (error rows in the
+table), 1 on usage or spec errors or a fatal failure of a single-model
+command.
 
 Artifacts written to --out contain no wall-clock fields, so identical
 specs produce byte-identical files; timing goes to stderr and to the
@@ -34,13 +37,7 @@ from softstep.experiments import (
     train_config_for,
     trial_model,
 )
-from softstep.metrics import (
-    APPROXIMATIONS,
-    FORMATS,
-    MetricTable,
-    evaluate_over_grid,
-    json_text,
-)
+from softstep.metrics import MetricTable, evaluate_over_grid, json_text
 from softstep.network import forward, load_checkpoint, save_checkpoint
 from softstep.training import TrainReport, train
 
@@ -83,8 +80,42 @@ _FILE_HELP = {
 
 def _comma(convert):
     """Converter of a comma list; blank items are skipped."""
-    return lambda text: tuple(convert(v.strip()) for v in text.split(",")
-                              if v.strip())
+    def convert_list(text):
+        return tuple(convert(v.strip()) for v in text.split(",")
+                     if v.strip())
+    # argparse names the type in its error: "invalid float list value"
+    convert_list.__name__ = f"{convert.__name__} list"
+    return convert_list
+
+
+# Every setting: argparse dest (also the config-file key) -> (converter,
+# help).  ExperimentSpec holds the defaults and checks the values.
+SETTINGS = {
+    "dataset": (str, "'blobs[:key=value,...]' (keys n_per_class, sigma, "
+                     "dims, keep) or a CSV path"),
+    "label_column": (str, "CSV column holding the label"),
+    "positive_value": (str, "label value of the positive class"),
+    "loss": (_comma(str), "comma list: accuracy, auroc, bce, f_beta, "
+                          "f_<number>"),
+    "beta": (float, "beta of the f_beta loss token"),
+    "betas": (_comma(float), "comma list for fbeta-sweep"),
+    "tau": (float, "training threshold"),
+    "tau_grid": (_comma(float), "comma list of evaluation thresholds"),
+    "delta": (float, "slope parameter of the step surrogate"),
+    "approximation": (str, "piecewise or sigmoid_fit"),
+    "batch_size": (_comma(int), "training batch size; comma list for "
+                                "batch-sweep"),
+    "trials": (int, "trainings per table cell"),
+    "seed": (int, "master seed"),
+    "epochs": (int, "maximum epochs"),
+    "window": (int, "epochs without improvement before stopping"),
+    "lr": (float, "Adam learning rate"),
+    "dropout": (float, "dropout rate of both hidden layers"),
+    "out": (str, "output file (default stdout)"),
+    "format": (str, "tsv or json"),
+}
+
+_SPEC_FIELDS = {"loss": "losses", "epochs": "max_epochs"}  # renamed fields
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -96,102 +127,53 @@ def build_parser() -> argparse.ArgumentParser:
     for name, command in COMMANDS.items():
         sub = subparsers.add_parser(name)
         sub.add_argument("--config", help="INI config file")
-        sub.add_argument("--dataset",
-                         help="'blobs[:key=value,...]' (keys n_per_class, "
-                              "sigma, dims, keep) or a CSV path")
-        sub.add_argument("--label-column", dest="label_column")
-        sub.add_argument("--positive-value", dest="positive_value")
-        sub.add_argument("--loss", help="comma list: accuracy, auroc, bce, "
-                                        "f_beta, f_<number>")
-        sub.add_argument("--beta", type=float)
-        sub.add_argument("--betas", help="comma list for fbeta-sweep")
-        sub.add_argument("--tau", type=float)
-        sub.add_argument("--tau-grid", dest="tau_grid")
-        sub.add_argument("--delta", type=float)
-        sub.add_argument("--approximation", choices=APPROXIMATIONS)
-        sub.add_argument("--batch-size", dest="batch_size",
-                         help="training batch size; comma list for "
-                              "batch-sweep")
-        sub.add_argument("--trials", type=int)
-        sub.add_argument("--seed", type=int)
-        sub.add_argument("--epochs", type=int, dest="epochs")
-        sub.add_argument("--window", type=int)
-        sub.add_argument("--lr", type=float)
-        sub.add_argument("--dropout", type=float)
-        sub.add_argument("--out")
-        sub.add_argument("--format", choices=FORMATS)
+        for key, (convert, text) in SETTINGS.items():
+            sub.add_argument("--" + key.replace("_", "-"), dest=key,
+                             type=convert, help=text)
         for flag in command.files:
             sub.add_argument(f"--{flag}", help=_FILE_HELP[flag],
                              required=flag in command.required)
     return parser
 
 
-def _file_section(path: str, command: str):
+def _config_settings(path: str, command: str) -> dict:
+    """The converted settings a config file gives ``command``.
+
+    A key that names no setting, in any section, is refused.
+    """
     cp = configparser.ConfigParser()
     if not cp.read(path):
         raise ValueError(f"config file not found or unreadable: {path}")
-    if cp.has_section(command):
-        return cp[command]
-    return cp["DEFAULT"]
-
-
-def _resolver(args):
-    section = _file_section(args.config, args.command) if args.config else {}
-
-    def pick(key, convert, fallback):
-        flag = getattr(args, key, None)
-        if flag is not None:
-            return convert(flag) if isinstance(flag, str) else flag
-        if key in section:
-            return convert(section[key])
-        return fallback
-
-    return pick
+    for name in ("DEFAULT", *cp.sections()):
+        unknown = sorted(set(cp[name]) - set(SETTINGS))
+        if unknown:
+            raise ValueError(f"{path}: [{name}] has unknown keys: "
+                             f"{', '.join(unknown)}")
+    section = cp[command] if cp.has_section(command) else cp["DEFAULT"]
+    return {key: SETTINGS[key][0](value) for key, value in section.items()}
 
 
 def build_spec(args) -> ExperimentSpec:
-    """Merge flags, config file, and defaults into a validated spec."""
-    pick = _resolver(args)
-    label_column = pick("label_column", str, None)
-    positive_value = pick("positive_value", str, None)
-    dataset = parse_dataset_source(pick("dataset", str, "blobs"),
-                                   label_column=label_column,
-                                   positive_value=positive_value)
-    defaults = ExperimentSpec(command=args.command)
-    batch_sizes = defaults.batch_sizes
-    batch_size = defaults.batch_size
-    raw_batch = pick("batch_size", str, None)
-    if raw_batch is not None:
-        sizes = _comma(int)(str(raw_batch))
-        if args.command == "batch-sweep":
-            batch_sizes = sizes
-        elif len(sizes) == 1:
-            batch_size = sizes[0]
-        else:
+    """Flags over the config file; ExperimentSpec holds the defaults."""
+    given = _config_settings(args.config, args.command) if args.config else {}
+    given.update((key, getattr(args, key)) for key in SETTINGS
+                 if getattr(args, key) is not None)
+    dataset = parse_dataset_source(
+        given.pop("dataset", "blobs"),
+        label_column=given.pop("label_column", None),
+        positive_value=given.pop("positive_value", None))
+    given.setdefault("loss", _comma(str)(COMMANDS[args.command].losses))
+    sizes = given.pop("batch_size", None)
+    if sizes is not None and args.command == "batch-sweep":
+        given["batch_sizes"] = sizes
+    elif sizes is not None:
+        if len(sizes) != 1:
             raise ValueError("--batch-size takes one value outside "
                              "batch-sweep")
-    return ExperimentSpec(
-        command=args.command,
-        dataset=dataset,
-        losses=_comma(str)(pick("loss", str,
-                                COMMANDS[args.command].losses)),
-        beta=pick("beta", float, defaults.beta),
-        betas=pick("betas", _comma(float), defaults.betas),
-        tau=pick("tau", float, defaults.tau),
-        tau_grid=pick("tau_grid", _comma(float), defaults.tau_grid),
-        delta=pick("delta", float, defaults.delta),
-        approximation=pick("approximation", str, defaults.approximation),
-        batch_size=batch_size,
-        batch_sizes=batch_sizes,
-        trials=pick("trials", int, defaults.trials),
-        seed=pick("seed", int, defaults.seed),
-        max_epochs=pick("epochs", int, defaults.max_epochs),
-        window=pick("window", int, defaults.window),
-        lr=pick("lr", float, defaults.lr),
-        dropout=pick("dropout", float, defaults.dropout),
-        out=pick("out", str, None),
-        format=pick("format", str, defaults.format),
-    )
+        given["batch_size"] = sizes[0]
+    return ExperimentSpec(command=args.command, dataset=dataset,
+                          **{_SPEC_FIELDS.get(key, key): value
+                             for key, value in given.items()})
 
 
 def _train_single(spec: ExperimentSpec, checkpoint: str | None = None,

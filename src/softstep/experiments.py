@@ -34,7 +34,7 @@ from softstep.metrics import (
     f_beta,
     json_text,
 )
-from softstep.network import MlpModel, forward
+from softstep.network import MlpModel, check_dropout, forward
 from softstep.training import TrainConfig, train
 
 BATCH_SIZES_DEFAULT = (128, 1024, 2048, 4096)
@@ -198,6 +198,7 @@ class ExperimentSpec:
             raise ValueError("seed must be non-negative")
         if self.format not in FORMATS:
             raise ValueError(f"unknown format {self.format!r}")
+        check_dropout(self.dropout)
         # every other field is checked by the configs the runners build
         _, loss = loss_config_for(self, "f_beta", self.approximation)
         for token in self.losses:
@@ -288,7 +289,7 @@ def train_config_for(spec: ExperimentSpec, loss: LossConfig, seed: int,
                        batch_size=(spec.batch_size if batch_size is None
                                    else batch_size),
                        max_epochs=spec.max_epochs, window=spec.window,
-                       dropout=spec.dropout, lr=spec.lr, seed=seed)
+                       lr=spec.lr, seed=seed)
 
 
 def trial_model(spec: ExperimentSpec, dims: int, seed: int) -> MlpModel:

@@ -24,7 +24,6 @@ from .heaviside import APPROXIMATIONS, cached_stack
 EPSILON_DEFAULT = 1e-7
 TAU_GRID_DEFAULT = tuple(i / 10 for i in range(1, 10))
 
-OBJECTIVES = ("accuracy", "f_beta", "auroc", "bce")
 FORMATS = ("tsv", "json")
 
 
@@ -202,15 +201,15 @@ def bce_loss(batch: LabeledBatch, config: LossConfig | None = None):
     return loss, grad
 
 
+# each objective's loss; LossConfig accepts exactly these names
+_LOSSES = {"accuracy": accuracy_loss, "f_beta": fbeta_loss,
+          "auroc": auroc_soft_loss, "bce": bce_loss}
+OBJECTIVES = tuple(_LOSSES)
+
+
 def objective_loss(batch: LabeledBatch, config: LossConfig):
-    """Dispatch to the loss named by ``config.objective``."""
-    if config.objective == "accuracy":
-        return accuracy_loss(batch, config)
-    if config.objective == "f_beta":
-        return fbeta_loss(batch, config)
-    if config.objective == "auroc":
-        return auroc_soft_loss(batch, config)
-    return bce_loss(batch, config)
+    """The loss named by ``config.objective`` and its gradient."""
+    return _LOSSES[config.objective](batch, config)
 
 
 def auroc_hard(batch: LabeledBatch) -> float:

@@ -26,6 +26,12 @@ class StaleCacheError(RuntimeError):
     """backward() called without a matching forward() cache."""
 
 
+def check_dropout(rate: float) -> None:
+    """Refuse a dropout rate outside [0, 1)."""
+    if not 0.0 <= rate < 1.0:
+        raise ValueError(f"dropout must lie in [0, 1), got {rate}")
+
+
 @dataclass
 class MlpModel:
     """Weights, biases and dropout rates; mutated in place by the optimizer.
@@ -45,8 +51,7 @@ class MlpModel:
     def __post_init__(self):
         """Check that the layers chain and pack them into ``flat``."""
         for rate in self.dropout_rates:
-            if not 0.0 <= rate < 1.0:
-                raise ValueError(f"dropout must lie in [0, 1), got {rate}")
+            check_dropout(rate)
         weights = [np.asarray(w, dtype=float) for w in self.weights]
         biases = [np.asarray(b, dtype=float) for b in self.biases]
         if len(weights) != 3 or len(biases) != 3:
@@ -225,13 +230,12 @@ class AdamState:
     stability: float = 1e-8
 
     @classmethod
-    def create(cls, model: MlpModel, lr: float = 0.001, beta1: float = 0.9,
-               beta2: float = 0.999, stability: float = 1e-8) -> "AdamState":
+    def create(cls, model: MlpModel, lr: float = 0.001) -> "AdamState":
         if not (np.isfinite(lr) and lr > 0.0):
             raise ValueError(
                 f"learning rate must be positive and finite, got {lr}")
         return cls(m=np.zeros_like(model.flat), v=np.zeros_like(model.flat),
-                   lr=lr, beta1=beta1, beta2=beta2, stability=stability)
+                   lr=lr)
 
 
 def adam_step(state: AdamState, model: MlpModel, grads: ModelGrads) -> None:

@@ -45,7 +45,6 @@ class TrainConfig:
     batch_size: int = 1024
     max_epochs: int = 5000
     window: int = 100
-    dropout: float = 0.5
     lr: float = 0.001
     seed: int = 0
 
@@ -56,8 +55,6 @@ class TrainConfig:
             raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if self.window < 1:
             raise ValueError(f"window must be >= 1, got {self.window}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError(f"dropout must lie in [0, 1), got {self.dropout}")
         if not (np.isfinite(self.lr) and self.lr > 0.0):
             raise ValueError(f"lr must be positive and finite, got {self.lr}")
 

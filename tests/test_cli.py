@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from softstep.cli import build_parser, build_spec, main
+from softstep.cli import SETTINGS, build_parser, build_spec, main
 
 TOY_DATA = "blobs:n_per_class=120,sigma=8"
 
@@ -71,6 +71,53 @@ def test_flags_override_config_file(tmp_path):
     assert spec.seed == 11
 
 
+@pytest.mark.parametrize("section", ["DEFAULT", "train", "evaluate"])
+def test_config_key_that_names_no_setting_is_refused(tmp_path, capsys,
+                                                     monkeypatch, section):
+    # a misspelt setting or a file flag in any section; file flags are
+    # flags only
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "exp.ini"
+    config.write_text(f"[{section}]\ntrails = 3\ncheckpoint = m.ckpt\n"
+                      "report = r.json\nseed = 1\n")
+    assert main(["train", "--dataset", TOY_DATA, *FAST,
+                 "--config", str(config)]) == 1
+    assert (f"error: {config}: [{section}] has unknown keys: checkpoint, "
+            "report, trails") in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["exp.ini"]
+
+
+# one value per setting, unlike its default and unlike CSV_FLAGS
+SAMPLES = {
+    "dataset": "e.csv", "label_column": "z", "positive_value": "yes",
+    "loss": "f_2,accuracy", "beta": "2", "betas": "1,4", "tau": "0.4",
+    "tau_grid": "0.2,0.7", "delta": "0.2", "approximation": "sigmoid_fit",
+    "batch_size": "32", "trials": "3", "seed": "9", "epochs": "20",
+    "window": "5", "lr": "0.01", "dropout": "0.25", "out": "x.tsv",
+    "format": "json",
+}
+CSV_FLAGS = {"dataset": "d.csv", "label_column": "y", "positive_value": "1"}
+
+
+def flag_args(settings):
+    return [arg for key, value in settings.items()
+            for arg in ("--" + key.replace("_", "-"), value)]
+
+
+@pytest.mark.parametrize("key", list(SETTINGS))
+def test_config_key_and_flag_build_the_same_spec(tmp_path, key):
+    others = flag_args({k: v for k, v in CSV_FLAGS.items() if k != key})
+    config = tmp_path / "exp.ini"
+    config.write_text(f"[loss-grid]\n{key} = {SAMPLES[key]}\n")
+    from_file = build_spec(parse(["loss-grid", *others,
+                                  "--config", str(config)]))
+    from_flag = build_spec(parse(["loss-grid", *others,
+                                  *flag_args({key: SAMPLES[key]})]))
+    assert from_file == from_flag
+    assert from_flag != build_spec(parse(["loss-grid",
+                                          *flag_args(CSV_FLAGS)]))
+
+
 def test_batch_size_flag_is_list_only_for_sweep():
     spec = build_spec(parse(["batch-sweep", "--batch-size", "32,64"]))
     assert spec.batch_sizes == (32, 64)
@@ -111,6 +158,7 @@ def test_main_evaluate_requires_checkpoint(capsys):
 @pytest.mark.parametrize("argv, message", [
     (["loss-grid", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
     (["loss-grid", "--trials", "x"], "invalid int value: 'x'"),
+    (["loss-grid", "--tau-grid", "0.2,x"], "argument --tau-grid"),
 ])
 def test_usage_errors_exit_1(capsys, argv, message):
     # 2 is kept for tables with failed cells

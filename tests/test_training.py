@@ -21,14 +21,14 @@ def small_split(seed=0, n_per_class=120, sigma=10.0):
     return standardize_and_split(data, seed=seed)
 
 
-def fresh_model(split, config):
+def fresh_model(split, config, dropout=0.5):
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 7]))
-    return MlpModel.create(split.train.dims, dropout=config.dropout, rng=rng)
+    return MlpModel.create(split.train.dims, dropout=dropout, rng=rng)
 
 
-def run(config, split=None):
+def run(config, split=None, dropout=0.5):
     split = split or small_split(seed=config.seed)
-    model = fresh_model(split, config)
+    model = fresh_model(split, config, dropout)
     report = train(model, split, config)
     return model, report
 
@@ -41,8 +41,8 @@ def test_train_bce_on_overlapping_blobs_stops_early():
     # so the stagnation window must fire well before max_epochs
     split = small_split(seed=1)
     config = TrainConfig(loss=LossConfig(objective="bce"), batch_size=64,
-                         max_epochs=300, window=5, dropout=0.2, seed=1)
-    model = fresh_model(split, config)
+                         max_epochs=300, window=5, seed=1)
+    model = fresh_model(split, config, dropout=0.2)
     report = train(model, split, config)
     assert report.epochs_run < 300
     assert report.best_val_loss < 0.65
@@ -54,8 +54,8 @@ def test_train_bce_on_overlapping_blobs_stops_early():
 def test_train_fbeta_objective_improves_over_init():
     split = small_split(seed=2)
     config = TrainConfig(loss=LossConfig(objective="f_beta"), batch_size=64,
-                         max_epochs=60, window=10, dropout=0.0, seed=2)
-    model = fresh_model(split, config)
+                         max_epochs=60, window=10, seed=2)
+    model = fresh_model(split, config, dropout=0.0)
     init_val = objective_loss(
         LabeledBatch(forward(model, split.validation.features),
                      split.validation.labels), config.loss)[0]
@@ -93,18 +93,17 @@ def test_early_stop_fires_after_window_stagnant_epochs():
     # lr below float resolution: parameters never actually move, so the
     # validation loss is constant and only epoch 1 counts as an improvement
     config = TrainConfig(loss=LossConfig(objective="bce"), batch_size=64,
-                         max_epochs=50, window=6, dropout=0.0, lr=1e-20,
-                         seed=3)
-    _, report = run(config)
+                         max_epochs=50, window=6, lr=1e-20, seed=3)
+    _, report = run(config, dropout=0.0)
     assert report.epochs_run == config.window + 1
     assert report.best_epoch == 1
 
 
 def test_best_epoch_parameters_are_restored():
     config = TrainConfig(loss=LossConfig(objective="f_beta"), batch_size=32,
-                         max_epochs=25, window=5, dropout=0.3, seed=13)
+                         max_epochs=25, window=5, seed=13)
     split = small_split(seed=13, n_per_class=80)
-    model = fresh_model(split, config)
+    model = fresh_model(split, config, dropout=0.3)
     report = train(model, split, config)
     assert report.best_val_loss == min(report.val_loss)
     assert report.val_loss[report.best_epoch - 1] == report.best_val_loss
@@ -222,8 +221,6 @@ def test_train_config_validation():
         TrainConfig(max_epochs=0)
     with pytest.raises(ValueError):
         TrainConfig(window=0)
-    with pytest.raises(ValueError):
-        TrainConfig(dropout=1.0)
     with pytest.raises(ValueError):
         TrainConfig(lr=0.0)
     for lr in (float("nan"), float("inf")):
