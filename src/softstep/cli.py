@@ -4,11 +4,11 @@ COMMANDS lists the subcommands and SETTINGS the settings each one takes.
 A setting is a flag and, under its argparse dest (``tau_grid`` for
 ``--tau-grid``), a config-file key.  Precedence: flag, then the config
 file section named after the subcommand, then its [DEFAULT] section,
-then ExperimentSpec's defaults.  A config key that names no setting is
-refused; --config, --checkpoint and --report are flags only.  Exit
-codes: 0 full success, 2 when some cells failed (error rows in the
-table), 1 on usage or spec errors or a fatal failure of a single-model
-command.
+then ExperimentSpec's defaults.  A config key that names no setting and
+a section that names no command are refused; --config, --checkpoint
+and --report are flags only.  Exit codes: 0 full success, 2 when some
+cells failed (error rows in the table), 1 on usage or spec errors or a
+fatal failure of a single-model command.
 
 Artifacts written to --out contain no wall-clock fields, so identical
 specs produce byte-identical files; timing goes to stderr and to the
@@ -23,7 +23,6 @@ import configparser
 import sys
 from typing import NamedTuple
 
-from softstep.confusion import LabeledBatch
 from softstep.data import write_atomic
 from softstep.experiments import (
     ExperimentSpec,
@@ -37,9 +36,9 @@ from softstep.experiments import (
     train_config_for,
     trial_model,
 )
-from softstep.metrics import MetricTable, evaluate_over_grid, json_text
-from softstep.network import forward, load_checkpoint, save_checkpoint
-from softstep.training import TrainReport, train
+from softstep.metrics import MetricTable, json_text
+from softstep.network import load_checkpoint, save_checkpoint
+from softstep.training import TrainReport, score_test_split, train
 
 
 class Command(NamedTuple):
@@ -48,13 +47,14 @@ class Command(NamedTuple):
     ``runner`` names a function of this module, looked up when the command
     runs so that a wrapper set on the module attribute is the one called.
     It takes the spec and each file flag as a keyword and returns the
-    Artifact for --out.
+    Artifact for --out.  A ``one_loss`` command refuses a --loss list.
     """
 
     losses: str
     runner: str
     required: tuple[str, ...] = ()
     optional: tuple[str, ...] = ()
+    one_loss: bool = False
 
     @property
     def files(self) -> tuple[str, ...]:
@@ -63,10 +63,10 @@ class Command(NamedTuple):
 
 COMMANDS = {
     "train": Command("f_1", "_train_single",
-                     optional=("checkpoint", "report")),
+                     optional=("checkpoint", "report"), one_loss=True),
     "evaluate": Command("f_1", "_evaluate_checkpoint",
-                        required=("checkpoint",)),
-    "batch-sweep": Command("f_1", "run_batch_sweep"),
+                        required=("checkpoint",), one_loss=True),
+    "batch-sweep": Command("f_1", "run_batch_sweep", one_loss=True),
     "loss-grid": Command("accuracy,f_1,auroc", "run_loss_grid"),
     "fbeta-sweep": Command("f_1", "run_fbeta_sweep"),
     "sigmoid-compare": Command("accuracy,f_1", "run_sigmoid_compare"),
@@ -139,18 +139,25 @@ def build_parser() -> argparse.ArgumentParser:
 def _config_settings(path: str, command: str) -> dict:
     """The converted settings a config file gives ``command``.
 
-    A key that names no setting, in any section, is refused.
+    A file configparser cannot read, a section that names no command and
+    a key that names no setting, in any section, are refused.
     """
     cp = configparser.ConfigParser()
-    if not cp.read(path):
-        raise ValueError(f"config file not found or unreadable: {path}")
-    for name in ("DEFAULT", *cp.sections()):
-        unknown = sorted(set(cp[name]) - set(SETTINGS))
-        if unknown:
-            raise ValueError(f"{path}: [{name}] has unknown keys: "
-                             f"{', '.join(unknown)}")
-    section = cp[command] if cp.has_section(command) else cp["DEFAULT"]
-    return {key: SETTINGS[key][0](value) for key, value in section.items()}
+    try:
+        if not cp.read(path):
+            raise ValueError(f"config file not found or unreadable: {path}")
+        for name in cp.sections():
+            if name not in COMMANDS:
+                raise ValueError(f"{path}: [{name}] names no command")
+        for name in ("DEFAULT", *cp.sections()):
+            unknown = sorted(set(cp[name]) - set(SETTINGS))
+            if unknown:
+                raise ValueError(f"{path}: [{name}] has unknown keys: "
+                                 f"{', '.join(unknown)}")
+        section = cp[command] if cp.has_section(command) else cp["DEFAULT"]
+        return {key: SETTINGS[key][0](value) for key, value in section.items()}
+    except configparser.Error as exc:
+        raise ValueError(f"{path}: {' '.join(str(exc).split())}") from exc
 
 
 def build_spec(args) -> ExperimentSpec:
@@ -196,12 +203,9 @@ def _train_single(spec: ExperimentSpec, checkpoint: str | None = None,
 def _evaluate_checkpoint(spec: ExperimentSpec,
                          checkpoint: str) -> MetricTable:
     model = load_checkpoint(checkpoint)
-    split = prepared_split(spec)
     _, loss = loss_config_for(spec, spec.losses[0], spec.approximation)
-    preds = forward(model, split.test.features)
-    return evaluate_over_grid(LabeledBatch(preds, split.test.labels),
-                              loss.tau_grid, beta=loss.beta,
-                              epsilon=loss.epsilon)
+    return score_test_split(model, prepared_split(spec), loss.tau_grid,
+                            loss.beta)
 
 
 def main(argv=None) -> int:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-SPLIT_FRACTIONS_DEFAULT = (0.64, 0.16, 0.20)
+SPLIT_FRACTIONS = (0.64, 0.16, 0.20)  # train, validation, test
 
 # stream tags keeping the module's RNG purposes disjoint
 _TAG_BLOBS = 11
@@ -88,11 +88,10 @@ class SplitDataset:
 
 
 def generate_blobs(n_per_class: int = 5000, sigma: float = 10.0,
-                   dims: int = 3, seed: int = 0,
-                   centers: tuple | None = None) -> Dataset:
+                   dims: int = 3, seed: int = 0) -> Dataset:
     """Two isotropic Gaussian clusters, negatives first, one per class.
 
-    Default centers are the origin and (10, ..., 10); with sigma=10 the
+    The centers are the origin and (10, ..., 10); with sigma=10 the
     separation equals one standard deviation, so the classes overlap
     substantially and the task is learnable but not saturable.
     """
@@ -102,15 +101,9 @@ def generate_blobs(n_per_class: int = 5000, sigma: float = 10.0,
         raise ValueError(f"sigma must be positive, got {sigma}")
     if dims < 1:
         raise ValueError(f"dims must be >= 1, got {dims}")
-    if centers is None:
-        centers = (np.zeros(dims), np.full(dims, 10.0))
-    center_neg = np.asarray(centers[0], dtype=float)
-    center_pos = np.asarray(centers[1], dtype=float)
-    if center_neg.shape != (dims,) or center_pos.shape != (dims,):
-        raise ValueError("centers must match dims")
     rng = np.random.default_rng(np.random.SeedSequence([seed, _TAG_BLOBS]))
-    neg = rng.normal(loc=center_neg, scale=sigma, size=(n_per_class, dims))
-    pos = rng.normal(loc=center_pos, scale=sigma, size=(n_per_class, dims))
+    neg = rng.normal(loc=0.0, scale=sigma, size=(n_per_class, dims))
+    pos = rng.normal(loc=10.0, scale=sigma, size=(n_per_class, dims))
     features = np.vstack([neg, pos])
     labels = np.concatenate([np.zeros(n_per_class), np.ones(n_per_class)])
     return Dataset(features, labels)
@@ -271,21 +264,15 @@ def _parse_with_numpy(path, n_cells, label_pos, feature_pos, positive_value):
     return features, codes, rejected
 
 
-def standardize_and_split(data: Dataset,
-                          fractions=SPLIT_FRACTIONS_DEFAULT,
-                          seed: int = 0) -> SplitDataset:
-    """Shuffle, split by fractions, standardize with train-only statistics.
+def standardize_and_split(data: Dataset, seed: int = 0) -> SplitDataset:
+    """Shuffle, split by SPLIT_FRACTIONS, standardize with train statistics.
 
     Scale is the per-feature train standard deviation; features with
     (near) zero variance get scale 1 so they pass through centered.
     """
-    if len(fractions) != 3 or any(f <= 0.0 for f in fractions):
-        raise ValueError(f"need three positive fractions, got {fractions}")
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ValueError(f"fractions must sum to 1, got {sum(fractions)}")
     n = data.n
-    n_train = int(round(fractions[0] * n))
-    n_val = int(round(fractions[1] * n))
+    n_train = int(round(SPLIT_FRACTIONS[0] * n))
+    n_val = int(round(SPLIT_FRACTIONS[1] * n))
     n_test = n - n_train - n_val
     if min(n_train, n_val, n_test) < 1:
         raise ValueError(

@@ -30,12 +30,11 @@ from softstep.metrics import (
     Artifact,
     LossConfig,
     TAU_GRID_DEFAULT,
-    evaluate_over_grid,
     f_beta,
     json_text,
 )
 from softstep.network import MlpModel, check_dropout, forward
-from softstep.training import TrainConfig, train
+from softstep.training import TrainConfig, score_test_split, train
 
 BATCH_SIZES_DEFAULT = (128, 1024, 2048, 4096)
 BETAS_DEFAULT = (1.0, 2.0, 3.0)
@@ -85,6 +84,9 @@ class DatasetSource:
         if self.kind not in ("blobs", "csv"):
             raise ValueError(f"unknown dataset kind {self.kind!r}")
         if self.kind == "blobs":
+            if (self.label_column, self.positive_value) != (None, None):
+                raise ValueError("label_column and positive_value name a "
+                                 "CSV's label; a blobs dataset takes neither")
             if self.n_per_class < 1:
                 raise ValueError("n_per_class must be >= 1")
             if not self.sigma > 0:
@@ -112,8 +114,8 @@ def parse_dataset_source(text: str, label_column=None,
     """Parse a --dataset argument.
 
     ``blobs`` or ``blobs:key=value,...`` (keys: n_per_class, sigma, dims,
-    keep) selects the synthetic generator; anything else is a CSV path and
-    requires label_column/positive_value.
+    keep) selects the synthetic generator and refuses label_column and
+    positive_value; anything else is a CSV path and requires both.
     """
     if text == "blobs" or text.startswith("blobs:"):
         kwargs = {}
@@ -127,7 +129,8 @@ def parse_dataset_source(text: str, label_column=None,
                 raise ValueError(f"unknown blobs parameter {key!r}")
             name, convert = _BLOBS_KEYS[key]
             kwargs[name] = convert(value)
-        return DatasetSource(kind="blobs", **kwargs)
+        return DatasetSource(kind="blobs", label_column=label_column,
+                             positive_value=positive_value, **kwargs)
     return DatasetSource(kind="csv", path=text, label_column=label_column,
                          positive_value=positive_value)
 
@@ -192,6 +195,9 @@ class ExperimentSpec:
         for name in ("losses", "betas", "batch_sizes"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must not be empty")
+        if COMMANDS[self.command].one_loss and len(self.losses) > 1:
+            raise ValueError(f"{self.command} takes one loss, got "
+                             f"{len(self.losses)}: {','.join(self.losses)}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.seed < 0:
@@ -305,9 +311,7 @@ def _grid_means(model: MlpModel, split: SplitDataset,
     Evaluation is always at beta=1 so sweeps trained at other betas stay
     comparable on the same F1 column.
     """
-    preds = forward(model, split.test.features)
-    table = evaluate_over_grid(LabeledBatch(preds, split.test.labels),
-                               spec.tau_grid, beta=1.0)
+    table = score_test_split(model, split, spec.tau_grid, beta=1.0)
     return {row.name: row.value for row in table.rows
             if row.tau == "mean" or row.name == "auroc"}
 

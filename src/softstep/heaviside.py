@@ -1,13 +1,15 @@
 """Step function, its piecewise-linear surrogate, and supporting machinery.
 
 The exact step maps a probability to {0, 1} at a threshold ``tau`` (ties go
-to the positive class). Thresholding is not usable for gradient training, so
-this module provides a three-segment piecewise-linear surrogate parameterized
-by ``tau`` and a slope parameter ``delta``: it is continuous, strictly
-increasing, exact at p = 0, tau, 1 (values 0, 0.5, 1), and has a strictly
-positive derivative everywhere. A precomputed lookup table gives a constant
-time evaluation path, and a logistic curve fitted by least squares to the
-surrogate serves as a comparison baseline.
+to the positive class; ``confusion.aggregate_hard`` counts with it).
+Thresholding is not usable for gradient training, so this module provides
+a three-segment piecewise-linear surrogate parameterized by ``tau`` and a
+slope parameter ``delta``: it is continuous, strictly increasing, exact at
+p = 0, tau, 1 (values 0, 0.5, 1), and has a strictly positive derivative
+everywhere. A precomputed lookup table gives a constant time evaluation
+path, and a logistic curve fitted by least squares to the surrogate
+serves as a comparison baseline. ``cached_stack`` holds either family at
+a grid of thresholds, built once, for the soft-confusion kernel.
 """
 
 from __future__ import annotations
@@ -75,13 +77,6 @@ class HeavisideParams:
             slope = getattr(self, name)
             if not (np.isfinite(slope) and slope > 0.0):
                 raise ValueError(f"{name} must be positive and finite, got {slope}")
-
-
-def heaviside_exact(p, tau: float):
-    """Exact step: 1 where p >= tau, else 0. Elementwise on arrays."""
-    arr = _as_float_array(p)
-    out = (arr >= tau).astype(float)
-    return _scalar_or_array(out, p)
 
 
 def _piecewise(arr, params):
@@ -276,39 +271,22 @@ def _fit_logistic(grid, target, k0, center0, max_iter=100, tol=1e-10):
     return k, center, residual
 
 
-def fit_sigmoid(params: HeavisideParams, grid_size: int = 200) -> SigmoidFit:
+def fit_sigmoid(params: HeavisideParams) -> SigmoidFit:
     """Least-squares logistic fit to the piecewise-linear surrogate.
 
-    The fit runs over an evenly spaced p-grid of ``grid_size`` points,
-    started from center = tau and k = 4 * slope_mid (the logistic's central
-    slope is k/4, so this matches middle-segment slopes).
+    The fit runs over 200 evenly spaced p values, started from center =
+    tau and k = 4 * slope_mid (the logistic's central slope is k/4, so
+    this matches middle-segment slopes).
     """
-    if grid_size < 10:
-        raise ValueError(f"grid_size must be >= 10, got {grid_size}")
-    grid = np.linspace(0.0, 1.0, grid_size)
+    grid = np.linspace(0.0, 1.0, 200)
     target = heaviside_approx(grid, params)
     k, center, residual = _fit_logistic(
         grid, target, 4.0 * params.slope_mid, params.tau)
     return SigmoidFit(k=k, tau=center, residual=residual)
 
 
-# the surrogate families cached_approximation builds, by name
+# the surrogate families cached_stack builds, by name
 APPROXIMATIONS = ("piecewise", "sigmoid_fit")
-
-
-@lru_cache(maxsize=512)
-def cached_approximation(family: str, tau: float, delta: float):
-    """Shared builder for loss code: one approximation per (family, tau, delta).
-
-    ``family`` is "piecewise" for the linear surrogate or "sigmoid_fit" for
-    the logistic fitted to it. Fitting is the expensive path, hence the cache.
-    """
-    params = HeavisideParams(tau, delta)
-    if family == "piecewise":
-        return params
-    if family == "sigmoid_fit":
-        return fit_sigmoid(params)
-    raise ValueError(f"unknown approximation family: {family!r}")
 
 
 class ApproximationStack:
@@ -336,6 +314,14 @@ class ApproximationStack:
 @lru_cache(maxsize=64)
 def cached_stack(family: str, taus: tuple[float, ...],
                  delta: float) -> ApproximationStack:
-    """The stack of ``cached_approximation`` over ``taus``, built once."""
-    return ApproximationStack(cached_approximation(family, tau, delta)
-                              for tau in taus)
+    """One family's approximations at ``taus``, built once per arguments.
+
+    ``family`` is "piecewise" for the linear surrogate or "sigmoid_fit" for
+    the logistic fitted to it; fitting is the expensive path.
+    """
+    if family not in APPROXIMATIONS:
+        raise ValueError(f"unknown approximation family: {family!r}")
+    members = [HeavisideParams(tau, delta) for tau in taus]
+    if family == "sigmoid_fit":
+        members = [fit_sigmoid(params) for params in members]
+    return ApproximationStack(members)

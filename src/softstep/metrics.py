@@ -6,7 +6,7 @@ hard counts with soft ones, so every loss here is differentiable in the
 predictions and is defined as 1 - metric, keeping loss values in [0, 1]
 (BCE is the exception, it is the usual log loss).
 
-Every ratio is guarded by adding ``epsilon`` to the denominator; a metric
+Every ratio is guarded by adding ``EPSILON`` to the denominator; a metric
 whose unguarded denominator is zero is flagged undefined rather than
 silently reported as a number.
 """
@@ -21,7 +21,7 @@ import numpy as np
 from .confusion import LabeledBatch, aggregate_hard, soft_confusion
 from .heaviside import APPROXIMATIONS, cached_stack
 
-EPSILON_DEFAULT = 1e-7
+EPSILON = 1e-7
 TAU_GRID_DEFAULT = tuple(i / 10 for i in range(1, 10))
 
 FORMATS = ("tsv", "json")
@@ -48,7 +48,7 @@ class MetricValue:
 
 @dataclass(frozen=True)
 class LossConfig:
-    """Which objective to train on and the constants it needs.
+    """Which objective to train on and the settings it needs.
 
     ``tau_train`` drives the single-threshold losses (accuracy, f_beta),
     ``tau_grid`` the threshold sweep inside the AUROC loss and, when
@@ -62,7 +62,6 @@ class LossConfig:
     tau_train: float = 0.5
     tau_grid: tuple[float, ...] = TAU_GRID_DEFAULT
     delta: float = 0.1
-    epsilon: float = EPSILON_DEFAULT
     approximation: str = "piecewise"
     average_over_grid: bool = False
 
@@ -84,38 +83,35 @@ class LossConfig:
                 raise ValueError(f"tau_grid entries must lie in (0,1), got {tau}")
         if not 0.0 < self.delta < 0.5:
             raise ValueError(f"delta must lie in (0, 0.5), got {self.delta}")
-        if not self.epsilon > 0.0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
 
 
-def _guarded(name, num, den, tau=None, epsilon=EPSILON_DEFAULT):
-    value = num / (den + epsilon)
+def _guarded(name, num, den, tau=None):
+    value = num / (den + EPSILON)
     if den <= 0.0:
         return MetricValue(name, 0.0, tau=tau, defined=False)
     return MetricValue(name, float(value), tau=tau)
 
 
-def precision(counts, tau=None, epsilon=EPSILON_DEFAULT) -> MetricValue:
-    return _guarded("precision", counts.tp, counts.tp + counts.fp, tau, epsilon)
+def precision(counts, tau=None) -> MetricValue:
+    return _guarded("precision", counts.tp, counts.tp + counts.fp, tau)
 
 
-def recall(counts, tau=None, epsilon=EPSILON_DEFAULT) -> MetricValue:
-    return _guarded("recall", counts.tp, counts.tp + counts.fn, tau, epsilon)
+def recall(counts, tau=None) -> MetricValue:
+    return _guarded("recall", counts.tp, counts.tp + counts.fn, tau)
 
 
-def accuracy(counts, tau=None, epsilon=EPSILON_DEFAULT) -> MetricValue:
+def accuracy(counts, tau=None) -> MetricValue:
     num = counts.tp + counts.tn
     den = counts.tp + counts.tn + counts.fp + counts.fn
-    return _guarded("accuracy", num, den, tau, epsilon)
+    return _guarded("accuracy", num, den, tau)
 
 
-def f_beta(counts, beta: float = 1.0, tau=None,
-           epsilon=EPSILON_DEFAULT) -> MetricValue:
+def f_beta(counts, beta: float = 1.0, tau=None) -> MetricValue:
     """F-beta in count form, equal to the precision/recall harmonic mean."""
     b2 = beta * beta
     num = (1.0 + b2) * counts.tp
     den = (1.0 + b2) * counts.tp + b2 * counts.fn + counts.fp
-    return _guarded(f"f_{beta:g}", num, den, tau, epsilon)
+    return _guarded(f"f_{beta:g}", num, den, tau)
 
 
 def _soft_confusion(batch, config, over_grid):
@@ -129,10 +125,10 @@ def fbeta_loss(batch: LabeledBatch, config: LossConfig):
     soft = _soft_confusion(batch, config, config.average_over_grid)
     tp, fp, fn, _ = soft.counts.T
     b2 = config.beta * config.beta
-    den = (1.0 + b2) * tp + b2 * fn + fp + config.epsilon
+    den = (1.0 + b2) * tp + b2 * fn + fp + EPSILON
     value = (1.0 + b2) * tp / den
     scale = (1.0 + b2) / (len(den) * den ** 2)
-    d_counts = np.array((-(b2 * fn + fp + config.epsilon) * scale,
+    d_counts = np.array((-(b2 * fn + fp + EPSILON) * scale,
                          tp * scale, b2 * tp * scale, np.zeros_like(tp))).T
     return 1.0 - float(value.sum()) / len(value), soft.grad(d_counts)
 
@@ -142,7 +138,7 @@ def accuracy_loss(batch: LabeledBatch, config: LossConfig):
     soft = _soft_confusion(batch, config, config.average_over_grid)
     tp, fp, fn, tn = soft.counts.T
     correct = tp + tn
-    den = correct + fp + fn + config.epsilon
+    den = correct + fp + fn + EPSILON
     value = correct / den
     scale = 1.0 / (len(den) * den ** 2)
     d_correct = (correct - den) * scale
@@ -170,9 +166,8 @@ def auroc_soft_loss(batch: LabeledBatch, config: LossConfig):
     _require_both_classes(batch)
     soft = _soft_confusion(batch, config, over_grid=True)
     tp, fp, fn, tn = soft.counts.T
-    eps = config.epsilon
-    fpr_den = fp + tn + eps
-    tpr_den = tp + fn + eps
+    fpr_den = fp + tn + EPSILON
+    tpr_den = tp + fn + EPSILON
     fpr = fp / fpr_den
     order = np.argsort(fpr, kind="stable")
     xs = np.concatenate(([0.0], fpr[order], [1.0]))
@@ -184,20 +179,18 @@ def auroc_soft_loss(batch: LabeledBatch, config: LossConfig):
     unsort = np.argsort(order)
     da_dx = 0.5 * (ys[:-2] - ys[2:])[unsort] / fpr_den ** 2
     da_dy = 0.5 * (xs[2:] - xs[:-2])[unsort] / tpr_den ** 2
-    d_counts = np.array((-(fn + eps) * da_dy, -(tn + eps) * da_dx,
+    d_counts = np.array((-(fn + EPSILON) * da_dy, -(tn + EPSILON) * da_dx,
                          tp * da_dy, fp * da_dx)).T
     return 1.0 - area, soft.grad(d_counts)
 
 
 def bce_loss(batch: LabeledBatch, config: LossConfig | None = None):
     """Mean binary cross-entropy with clamped predictions, plus gradient."""
-    eps = config.epsilon if config is not None else EPSILON_DEFAULT
-    p = np.clip(batch.predictions, eps, 1.0 - eps)
+    p = np.clip(batch.predictions, EPSILON, 1.0 - EPSILON)
     y = batch.labels
     loss = float(np.mean(-(y * np.log(p) + (1.0 - y) * np.log1p(-p))))
     grad = (p - y) / (p * (1.0 - p)) / batch.n
-    clamped = (batch.predictions < eps) | (batch.predictions > 1.0 - eps)
-    grad[clamped] = 0.0
+    grad[p != batch.predictions] = 0.0  # clamped
     return loss, grad
 
 
@@ -296,8 +289,7 @@ class MetricTable(Artifact):
 
 
 def evaluate_over_grid(batch: LabeledBatch, tau_grid=TAU_GRID_DEFAULT,
-                       beta: float = 1.0,
-                       epsilon: float = EPSILON_DEFAULT) -> MetricTable:
+                       beta: float = 1.0) -> MetricTable:
     """Hard metrics at every grid threshold, their means, and hard AUROC.
 
     Undefined per-threshold entries are excluded from the mean (not
@@ -305,12 +297,9 @@ def evaluate_over_grid(batch: LabeledBatch, tau_grid=TAU_GRID_DEFAULT,
     """
     if not tau_grid:
         raise ValueError("tau_grid must not be empty")
-    metric_fns = {
-        "accuracy": lambda c, t: accuracy(c, tau=t, epsilon=epsilon),
-        "precision": lambda c, t: precision(c, tau=t, epsilon=epsilon),
-        "recall": lambda c, t: recall(c, tau=t, epsilon=epsilon),
-        f"f_{beta:g}": lambda c, t: f_beta(c, beta, tau=t, epsilon=epsilon),
-    }
+    metric_fns = {"accuracy": accuracy, "precision": precision,
+                  "recall": recall,
+                  f"f_{beta:g}": lambda c, t: f_beta(c, beta, tau=t)}
     counts_by_tau = [(tau, aggregate_hard(batch, tau)) for tau in tau_grid]
     rows = []
     excluded = {}

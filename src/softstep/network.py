@@ -21,6 +21,11 @@ from .heaviside import logistic
 HIDDEN_WIDTHS = (32, 16)
 CHECKPOINT_MAGIC = b"SSTEPNN1"
 
+# Adam's moment decay rates and the term that keeps its division finite
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_STABILITY = 1e-8
+
 
 class StaleCacheError(RuntimeError):
     """backward() called without a matching forward() cache."""
@@ -80,13 +85,11 @@ class MlpModel:
         self.biases = tuple(views[1::2])
 
     @classmethod
-    def create(cls, input_dim: int, dropout: float = 0.5,
-               rng: np.random.Generator | None = None) -> "MlpModel":
+    def create(cls, input_dim: int, dropout: float = 0.5, *,
+               rng: np.random.Generator) -> "MlpModel":
         """Glorot-uniform weights (range +-sqrt(6/(fan_in+fan_out))), zero biases."""
         if input_dim < 1:
             raise ValueError(f"input_dim must be >= 1, got {input_dim}")
-        if rng is None:
-            rng = np.random.default_rng()
         widths = (input_dim,) + HIDDEN_WIDTHS + (1,)
         weights = []
         biases = []
@@ -219,15 +222,12 @@ def backward(model: MlpModel, loss_grad: np.ndarray) -> ModelGrads:
 
 @dataclass
 class AdamState:
-    """Flat moment buffers (laid out like ``MlpModel.flat``) and settings."""
+    """Flat moment buffers (laid out like ``MlpModel.flat``), step and rate."""
 
     m: np.ndarray
     v: np.ndarray
     step: int = 0
     lr: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    stability: float = 1e-8
 
     @classmethod
     def create(cls, model: MlpModel, lr: float = 0.001) -> "AdamState":
@@ -252,17 +252,17 @@ def adam_step(state: AdamState, model: MlpModel, grads: ModelGrads) -> None:
     state.step += 1
     t = state.step
     m, v = state.m, state.v
-    m *= state.beta1
-    m += (1.0 - state.beta1) * grad
-    v *= state.beta2
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * grad
+    v *= ADAM_BETA2
     np.square(grad, out=grad)
-    grad *= 1.0 - state.beta2
+    grad *= 1.0 - ADAM_BETA2
     v += grad
-    update = m / (1.0 - state.beta1 ** t)
+    update = m / (1.0 - ADAM_BETA1 ** t)
     update *= state.lr
-    denom = v / (1.0 - state.beta2 ** t)
+    denom = v / (1.0 - ADAM_BETA2 ** t)
     np.sqrt(denom, out=denom)
-    denom += state.stability
+    denom += ADAM_STABILITY
     update /= denom
     model.flat -= update
 

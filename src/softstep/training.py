@@ -97,6 +97,14 @@ class TrainReport(Artifact):
                           if key != "duration_seconds"})
 
 
+def score_test_split(model: MlpModel, split: SplitDataset, tau_grid,
+                     beta: float) -> MetricTable:
+    """``evaluate_over_grid`` of the model's eval-mode test predictions."""
+    preds = forward(model, split.test.features)
+    return evaluate_over_grid(LabeledBatch(preds, split.test.labels),
+                              tau_grid, beta=beta)
+
+
 def _finite_or_diverged(preds, context):
     if not np.all(np.isfinite(preds)):
         raise TrainingDivergedError(f"non-finite predictions {context}")
@@ -190,10 +198,8 @@ def train(model: MlpModel, split: SplitDataset, config: TrainConfig,
                 break
 
     model.flat[:] = best_params
-    test_preds = forward(model, split.test.features, train_mode=False)
-    final = evaluate_over_grid(LabeledBatch(test_preds, split.test.labels),
-                               config.loss.tau_grid, beta=config.loss.beta,
-                               epsilon=config.loss.epsilon)
+    final = score_test_split(model, split, config.loss.tau_grid,
+                             config.loss.beta)
     return TrainReport(
         train_loss=tuple(train_hist),
         val_loss=tuple(val_hist),

@@ -87,6 +87,54 @@ def test_config_key_that_names_no_setting_is_refused(tmp_path, capsys,
     assert sorted(os.listdir(tmp_path)) == ["exp.ini"]
 
 
+@pytest.mark.parametrize("body, message", [
+    ("trials = 3\n", "File contains no section headers."),
+    ("[loss-grid]\ntrials = 3\ntrials = 4\n",
+     "option 'trials' in section 'loss-grid' already exists"),
+])
+def test_config_file_configparser_cannot_read_is_refused(tmp_path, capsys,
+                                                         body, message):
+    config = tmp_path / "exp.ini"
+    config.write_text(body)
+    assert main(["loss-grid", "--dataset", TOY_DATA, *FAST,
+                 "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {config}: ")
+    assert message in err
+    assert "Traceback" not in err
+
+
+def test_config_section_that_names_no_command_is_refused(tmp_path, capsys):
+    # [loss_grid] is no command, so its trials would never be read
+    config = tmp_path / "exp.ini"
+    config.write_text("[DEFAULT]\nseed = 1\n[loss_grid]\ntrials = 3\n")
+    assert main(["loss-grid", "--dataset", TOY_DATA, *FAST,
+                 "--config", str(config)]) == 1
+    assert (f"error: {config}: [loss_grid] names no command"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("flags", [["--label-column", "y"],
+                                   ["--positive-value", "1"]])
+def test_label_flags_with_a_blobs_dataset_are_refused(capsys, flags):
+    assert main(["train", "--dataset", TOY_DATA, *FAST, *flags]) == 1
+    assert ("a blobs dataset takes neither"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate", "batch-sweep"])
+def test_single_model_commands_take_one_loss(tmp_path, capsys, command):
+    # build_spec refuses the list before evaluate opens its checkpoint
+    argv = [command, "--dataset", TOY_DATA, "--loss", "accuracy,auroc",
+            *FAST, "--out", str(tmp_path / "out.tsv")]
+    if command == "evaluate":
+        argv += ["--checkpoint", str(tmp_path / "m.ckpt")]
+    assert main(argv) == 1
+    assert (f"error: {command} takes one loss, got 2: accuracy,auroc"
+            in capsys.readouterr().err)
+    assert os.listdir(tmp_path) == []
+
+
 # one value per setting, unlike its default and unlike CSV_FLAGS
 SAMPLES = {
     "dataset": "e.csv", "label_column": "z", "positive_value": "yes",

@@ -10,11 +10,10 @@ from softstep.heaviside import (
     UnknownThresholdError,
     _fit_logistic,
     build_lookup_table,
-    cached_approximation,
+    cached_stack,
     fit_sigmoid,
     heaviside_approx,
     heaviside_approx_grad,
-    heaviside_exact,
     lookup,
     sigmoid_approx,
     sigmoid_approx_grad,
@@ -34,21 +33,6 @@ def random_params(rng):
     tau = rng.uniform(0.05, 0.95)
     delta = rng.uniform(0.01, 0.49)
     return HeavisideParams(tau, delta)
-
-
-# ---------------------------------------------------------------- exact step
-
-
-def test_exact_step_values_and_tie():
-    assert heaviside_exact(0.49, 0.5) == 0.0
-    assert heaviside_exact(0.51, 0.5) == 1.0
-    # ties at the threshold go to the positive class
-    assert heaviside_exact(0.5, 0.5) == 1.0
-
-
-def test_exact_step_vectorized():
-    out = heaviside_exact(np.array([0.0, 0.3, 0.3, 1.0]), 0.3)
-    assert out.tolist() == [0.0, 1.0, 1.0, 1.0]
 
 
 # ------------------------------------------------------------------- slopes
@@ -303,8 +287,6 @@ def test_sigmoid_fit_validation():
         SigmoidFit(k=-3.0, tau=0.5, residual=0.0)
     with pytest.raises(ValueError):
         SigmoidFit(k=5.0, tau=0.5, residual=float("nan"))
-    with pytest.raises(ValueError):
-        fit_sigmoid(HeavisideParams(0.5, 0.1), grid_size=5)
 
 
 def test_fit_logistic_rejects_nonfinite_target():
@@ -329,12 +311,17 @@ def test_duck_typed_interface():
         assert np.all(g > 0.0)
 
 
-def test_cached_approximation_families():
-    piecewise = cached_approximation("piecewise", 0.5, 0.1)
-    assert isinstance(piecewise, HeavisideParams)
-    fit1 = cached_approximation("sigmoid_fit", 0.5, 0.1)
-    fit2 = cached_approximation("sigmoid_fit", 0.5, 0.1)
-    assert isinstance(fit1, SigmoidFit)
-    assert fit1 is fit2
+def test_cached_stack_families():
+    taus = (0.3, 0.5)
+    piecewise = cached_stack("piecewise", taus, 0.1)
+    assert piecewise.piecewise
+    assert piecewise.tau[:, 0].tolist() == list(taus)
+    assert piecewise.kink_low[1, 0] == HeavisideParams(0.5, 0.1).kink_low
+    fitted = cached_stack("sigmoid_fit", taus, 0.1)
+    assert not fitted.piecewise
+    for row, tau in enumerate(taus):
+        fit = fit_sigmoid(HeavisideParams(tau, 0.1))
+        assert (fitted.k[row, 0], fitted.tau[row, 0]) == (fit.k, fit.tau)
+    assert cached_stack("sigmoid_fit", taus, 0.1) is fitted
     with pytest.raises(ValueError):
-        cached_approximation("cubic", 0.5, 0.1)
+        cached_stack("cubic", taus, 0.1)

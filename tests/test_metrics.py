@@ -6,6 +6,7 @@ import pytest
 from softstep.confusion import HardCounts, LabeledBatch, SoftCounts, aggregate_soft
 from softstep.heaviside import HeavisideParams
 from softstep.metrics import (
+    EPSILON,
     LossConfig,
     MetricValue,
     TAU_GRID_DEFAULT,
@@ -315,8 +316,8 @@ def test_auroc_soft_area_matches_manual_trapezoid():
             fp = sum(c.fp for c in cells)
             fn = sum(c.fn for c in cells)
             tn = sum(c.tn for c in cells)
-            points.append((fp / (fp + tn + config.epsilon),
-                           tp / (tp + fn + config.epsilon)))
+            points.append((fp / (fp + tn + EPSILON),
+                           tp / (tp + fn + EPSILON)))
         points.append((1.0, 1.0))
         points.sort(key=lambda q: q[0])
         xs = [q[0] for q in points]
@@ -399,8 +400,6 @@ def test_loss_config_validation():
         LossConfig(tau_grid=())
     with pytest.raises(ValueError):
         LossConfig(tau_grid=(0.5, 1.2))
-    with pytest.raises(ValueError):
-        LossConfig(epsilon=0.0)
     with pytest.raises(ValueError):
         LossConfig(approximation="spline")
     # delta outside (0, 0.5) would only fail at the first loss call

@@ -503,6 +503,6 @@ def test_create_glorot_ranges_and_zero_biases():
 
 def test_create_validation():
     with pytest.raises(ValueError):
-        MlpModel.create(0)
+        MlpModel.create(0, rng=np.random.default_rng(0))
     with pytest.raises(ValueError):
-        MlpModel.create(3, dropout=1.0)
+        MlpModel.create(3, dropout=1.0, rng=np.random.default_rng(0))
