@@ -1,19 +1,23 @@
 """Command-line entry point.
 
-COMMANDS lists the subcommands and SETTINGS the settings each one takes.
-A setting is a flag and, under its argparse dest (``tau_grid`` for
-``--tau-grid``), a config-file key.  Precedence: flag, then the config
-file section named after the subcommand, then its [DEFAULT] section,
-then ExperimentSpec's defaults.  A config key that names no setting and
-a section that names no command are refused; --config, --checkpoint
-and --report are flags only.  Exit codes: 0 full success, 2 when some
-cells failed (error rows in the table), 1 on usage or spec errors or a
-fatal failure of a single-model command.
+COMMANDS lists the subcommands, each with the settings its runner reads,
+and SETTINGS converts and documents every setting.  A setting is a flag
+and, under its argparse dest (``tau_grid`` for ``--tau-grid``), a
+config-file key.  A command takes only the settings it declares: the
+flag of another is a usage error, and so is its key in the config file
+section named after the command.  [DEFAULT] is shared: it may hold any
+setting, and each command takes the ones it declares.  Precedence:
+flag, then the command's section, then [DEFAULT], then ExperimentSpec's
+defaults.  A config key that names no setting and a section that names
+no command are refused; --config, --checkpoint and --report are flags
+only.  Exit codes: 0 full success, 2 when some cells failed (error rows
+in the table), 1 on usage or spec errors or a fatal failure of a
+single-model command.
 
 Artifacts written to --out contain no wall-clock fields, so identical
 specs produce byte-identical files; timing goes to stderr and to the
 optional --report file.  --out, --report and --checkpoint files are
-replaced atomically.
+checked before any work starts and replaced atomically.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import configparser
 import sys
 from typing import NamedTuple
 
-from softstep.data import write_atomic
+from softstep.data import check_writable, write_atomic
 from softstep.experiments import (
     ExperimentSpec,
     loss_config_for,
@@ -42,34 +46,52 @@ from softstep.training import TrainReport, score_test_split, train
 
 
 class Command(NamedTuple):
-    """A subcommand: its default --loss, its runner and its file flags.
+    """A subcommand: its runner, the settings it reads and its file flags.
 
     ``runner`` names a function of this module, looked up when the command
     runs so that a wrapper set on the module attribute is the one called.
     It takes the spec and each file flag as a keyword and returns the
-    Artifact for --out.  A ``one_loss`` command refuses a --loss list.
+    Artifact for --out.  ``settings`` are the SETTINGS keys the command
+    reads.  ``losses`` is the default --loss of a command that reads one;
+    a ``one_loss`` command refuses a --loss list.  The file flags a
+    command ``reads`` are required, the ones it ``writes`` optional.
     """
 
-    losses: str
     runner: str
-    required: tuple[str, ...] = ()
-    optional: tuple[str, ...] = ()
+    settings: tuple[str, ...]
+    losses: str | None = None
+    reads: tuple[str, ...] = ()
+    writes: tuple[str, ...] = ()
     one_loss: bool = False
 
     @property
     def files(self) -> tuple[str, ...]:
-        return self.required + self.optional
+        return self.reads + self.writes
 
+
+# the settings every command reads, those every trainer adds, and the
+# training loss of the commands that train under one approximation
+_SHARED = ("dataset", "label_column", "positive_value", "seed", "out",
+           "format")
+_TRAINING = _SHARED + ("tau", "tau_grid", "delta", "batch_size", "epochs",
+                       "window", "lr", "dropout")
+_LOSS = ("loss", "beta", "approximation")
 
 COMMANDS = {
-    "train": Command("f_1", "_train_single",
-                     optional=("checkpoint", "report"), one_loss=True),
-    "evaluate": Command("f_1", "_evaluate_checkpoint",
-                        required=("checkpoint",), one_loss=True),
-    "batch-sweep": Command("f_1", "run_batch_sweep", one_loss=True),
-    "loss-grid": Command("accuracy,f_1,auroc", "run_loss_grid"),
-    "fbeta-sweep": Command("f_1", "run_fbeta_sweep"),
-    "sigmoid-compare": Command("accuracy,f_1", "run_sigmoid_compare"),
+    "train": Command("_train_single", _TRAINING + _LOSS, "f_1",
+                     writes=("checkpoint", "report"), one_loss=True),
+    "evaluate": Command("_evaluate_checkpoint",
+                        _SHARED + ("loss", "beta", "tau_grid"), "f_1",
+                        reads=("checkpoint",), one_loss=True),
+    "batch-sweep": Command("run_batch_sweep", _TRAINING + _LOSS, "f_1",
+                           one_loss=True),
+    "loss-grid": Command("run_loss_grid", _TRAINING + _LOSS + ("trials",),
+                         "accuracy,f_1,auroc"),
+    "fbeta-sweep": Command("run_fbeta_sweep",
+                           _TRAINING + ("betas", "approximation", "trials")),
+    "sigmoid-compare": Command("run_sigmoid_compare",
+                               _TRAINING + ("loss", "beta", "trials"),
+                               "accuracy,f_1"),
 }
 
 _FILE_HELP = {
@@ -125,51 +147,63 @@ def build_parser() -> argparse.ArgumentParser:
                     "confusion-matrix metrics directly.")
     subparsers = parser.add_subparsers(dest="command", required=True)
     for name, command in COMMANDS.items():
-        sub = subparsers.add_parser(name)
+        # no prefixes: evaluate would take --tau for --tau-grid, and
+        # fbeta-sweep --beta for --betas
+        sub = subparsers.add_parser(name, allow_abbrev=False)
         sub.add_argument("--config", help="INI config file")
         for key, (convert, text) in SETTINGS.items():
-            sub.add_argument("--" + key.replace("_", "-"), dest=key,
-                             type=convert, help=text)
+            if key in command.settings:
+                sub.add_argument("--" + key.replace("_", "-"), dest=key,
+                                 type=convert, help=text)
         for flag in command.files:
             sub.add_argument(f"--{flag}", help=_FILE_HELP[flag],
-                             required=flag in command.required)
+                             required=flag in command.reads)
     return parser
 
 
 def _config_settings(path: str, command: str) -> dict:
     """The converted settings a config file gives ``command``.
 
-    A file configparser cannot read, a section that names no command and
-    a key that names no setting, in any section, are refused.
+    [DEFAULT] may hold any setting, a command's section only the settings
+    that command declares; ``command`` takes the ones it declares from
+    [DEFAULT], then its section's.  A file configparser cannot read, a
+    section that names no command and a key its section may not hold are
+    refused.
     """
-    cp = configparser.ConfigParser()
+    # no default section: [DEFAULT] is read as a section of its own, so
+    # its keys do not show up in every other section
+    cp = configparser.ConfigParser(default_section="")
     try:
         if not cp.read(path):
             raise ValueError(f"config file not found or unreadable: {path}")
         for name in cp.sections():
-            if name not in COMMANDS:
+            if name != "DEFAULT" and name not in COMMANDS:
                 raise ValueError(f"{path}: [{name}] names no command")
-        for name in ("DEFAULT", *cp.sections()):
-            unknown = sorted(set(cp[name]) - set(SETTINGS))
+            allowed = COMMANDS[name].settings if name in COMMANDS else SETTINGS
+            unknown = sorted(set(cp[name]) - set(allowed))
             if unknown:
                 raise ValueError(f"{path}: [{name}] has unknown keys: "
                                  f"{', '.join(unknown)}")
-        section = cp[command] if cp.has_section(command) else cp["DEFAULT"]
-        return {key: SETTINGS[key][0](value) for key, value in section.items()}
+        return {key: SETTINGS[key][0](value)
+                for name in ("DEFAULT", command) if cp.has_section(name)
+                for key, value in cp[name].items()
+                if key in COMMANDS[command].settings}
     except configparser.Error as exc:
         raise ValueError(f"{path}: {' '.join(str(exc).split())}") from exc
 
 
 def build_spec(args) -> ExperimentSpec:
     """Flags over the config file; ExperimentSpec holds the defaults."""
+    command = COMMANDS[args.command]
     given = _config_settings(args.config, args.command) if args.config else {}
-    given.update((key, getattr(args, key)) for key in SETTINGS
+    given.update((key, getattr(args, key)) for key in command.settings
                  if getattr(args, key) is not None)
     dataset = parse_dataset_source(
         given.pop("dataset", "blobs"),
         label_column=given.pop("label_column", None),
         positive_value=given.pop("positive_value", None))
-    given.setdefault("loss", _comma(str)(COMMANDS[args.command].losses))
+    if command.losses:
+        given.setdefault("loss", _comma(str)(command.losses))
     sizes = given.pop("batch_size", None)
     if sizes is not None and args.command == "batch-sweep":
         given["batch_sizes"] = sizes
@@ -218,6 +252,9 @@ def main(argv=None) -> int:
     command = COMMANDS[args.command]
     try:
         spec = build_spec(args)
+        for path in (spec.out, *(getattr(args, f) for f in command.writes)):
+            if path:
+                check_writable(path)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -312,18 +312,31 @@ def batches(data: Dataset, batch_size: int, seed: int, epoch: int):
             for start in range(0, data.n, batch_size)]
 
 
+def check_writable(path) -> str:
+    """The real path ``write_atomic`` would replace, or ValueError.
+
+    A symlink resolves to its target. A path that exists and is no regular
+    file (a directory, a pipe, a terminal) is refused, and so is one whose
+    directory does not exist.
+    """
+    real = os.path.realpath(path)
+    if os.path.exists(real) and not os.path.isfile(real):
+        raise ValueError(f"cannot replace {real}: not a regular file")
+    folder = os.path.dirname(real)
+    if not os.path.isdir(folder):
+        raise ValueError(f"cannot write {real}: no such directory {folder}")
+    return real
+
+
 def write_atomic(path, payload: bytes) -> None:
     """Replace ``path`` with ``payload`` so that no reader sees a partial file.
 
     The bytes go to a temporary file in the same directory, which then
     replaces ``path`` in one rename; if anything fails first, the old file
-    stays as it was and the temporary file is removed. A symlink's target
-    is replaced, not the link; a path that exists and is no regular file
-    (a directory, a pipe, a terminal) is refused with ValueError.
+    stays as it was and the temporary file is removed. ``check_writable``
+    decides which paths are refused, with ValueError.
     """
-    path = os.path.realpath(path)
-    if os.path.exists(path) and not os.path.isfile(path):
-        raise ValueError(f"cannot replace {path}: not a regular file")
+    path = check_writable(path)
     temporary = f"{path}.{os.getpid()}.tmp"
     handle = open(temporary, "xb")
     try:

@@ -50,7 +50,8 @@ def parse_loss_token(token: str, default_beta: float = 1.0):
     """Map a loss name to (canonical label, objective, beta).
 
     Accepted: accuracy, auroc, bce, f_beta (uses the configured beta),
-    or an explicit f_<number> such as f_1, f_2, f_0.5.
+    or an explicit f_<number> such as f_1, f_2, f_0.5.  LossConfig checks
+    the beta.
     """
     token = token.strip()
     if token in ("accuracy", "auroc", "bce"):
@@ -60,8 +61,6 @@ def parse_loss_token(token: str, default_beta: float = 1.0):
     match = _F_TOKEN.match(token)
     if match:
         beta = float(match.group(1))
-        if not beta > 0:
-            raise ValueError(f"beta must be positive, got {beta}")
         return "f_%g" % beta, "f_beta", beta
     raise ValueError(f"unknown loss {token!r}; expected accuracy, auroc, "
                      "bce, f_beta, or f_<number>")

@@ -74,6 +74,9 @@ class LossConfig:
                              f"got {self.approximation!r}")
         if not self.beta > 0.0:
             raise ValueError(f"beta must be positive, got {self.beta}")
+        if self.beta * self.beta == float("inf"):
+            raise ValueError(f"beta squared must be finite, got beta "
+                             f"{self.beta}")
         if not 0.0 < self.tau_train < 1.0:
             raise ValueError(f"tau_train must lie in (0,1), got {self.tau_train}")
         if not self.tau_grid:

@@ -3,16 +3,34 @@ import os
 
 import pytest
 
-from softstep.cli import SETTINGS, build_parser, build_spec, main
+import softstep.cli
+from softstep.cli import COMMANDS, SETTINGS, build_parser, build_spec, main
 
 TOY_DATA = "blobs:n_per_class=120,sigma=8"
 
-FAST = ["--trials", "1", "--epochs", "8", "--window", "4",
-        "--batch-size", "64", "--seed", "5"]
+# a short training; the protocol tables also take ONE_TRIAL per cell
+FAST = ["--epochs", "8", "--window", "4", "--batch-size", "64",
+        "--seed", "5"]
+ONE_TRIAL = ["--trials", "1"]
 
 
 def parse(argv):
     return build_parser().parse_args(argv)
+
+
+def command_argv(command):
+    """The command and the file flags it cannot run without."""
+    return [command, *(arg for flag in COMMANDS[command].reads
+                       for arg in (f"--{flag}", "m.ckpt"))]
+
+
+@pytest.fixture
+def runners_unreached(monkeypatch):
+    """Every command's runner fails the run with a message of its own."""
+    def unreached(spec, **files):
+        raise AssertionError("the runner was reached")
+    for command in COMMANDS.values():
+        monkeypatch.setattr(softstep.cli, command.runner, unreached)
 
 
 # ------------------------------------------------------------- spec building
@@ -91,6 +109,8 @@ def test_config_key_that_names_no_setting_is_refused(tmp_path, capsys,
     ("trials = 3\n", "File contains no section headers."),
     ("[loss-grid]\ntrials = 3\ntrials = 4\n",
      "option 'trials' in section 'loss-grid' already exists"),
+    ("[DEFAULT]\nseed = 1\n[DEFAULT]\ntrials = 3\n",
+     "section 'DEFAULT' already exists"),
 ])
 def test_config_file_configparser_cannot_read_is_refused(tmp_path, capsys,
                                                          body, message):
@@ -126,9 +146,11 @@ def test_label_flags_with_a_blobs_dataset_are_refused(capsys, flags):
 def test_single_model_commands_take_one_loss(tmp_path, capsys, command):
     # build_spec refuses the list before evaluate opens its checkpoint
     argv = [command, "--dataset", TOY_DATA, "--loss", "accuracy,auroc",
-            *FAST, "--out", str(tmp_path / "out.tsv")]
+            "--out", str(tmp_path / "out.tsv")]
     if command == "evaluate":
         argv += ["--checkpoint", str(tmp_path / "m.ckpt")]
+    else:
+        argv += FAST
     assert main(argv) == 1
     assert (f"error: {command} takes one loss, got 2: accuracy,auroc"
             in capsys.readouterr().err)
@@ -154,16 +176,58 @@ def flag_args(settings):
 
 @pytest.mark.parametrize("key", list(SETTINGS))
 def test_config_key_and_flag_build_the_same_spec(tmp_path, key):
-    others = flag_args({k: v for k, v in CSV_FLAGS.items() if k != key})
+    # in the section of each command that declares the key
+    commands = [name for name, command in COMMANDS.items()
+                if key in command.settings]
+    assert commands
+    for name in commands:
+        value = SAMPLES[key]
+        if key == "loss" and COMMANDS[name].one_loss:
+            value = "f_2"
+        others = [*command_argv(name), *flag_args(
+            {k: v for k, v in CSV_FLAGS.items() if k != key})]
+        config = tmp_path / "exp.ini"
+        config.write_text(f"[{name}]\n{key} = {value}\n")
+        from_file = build_spec(parse([*others, "--config", str(config)]))
+        from_flag = build_spec(parse([*others, *flag_args({key: value})]))
+        assert from_file == from_flag, name
+        assert from_flag != build_spec(parse([*command_argv(name),
+                                              *flag_args(CSV_FLAGS)])), name
+
+
+@pytest.mark.parametrize("command, key", [
+    (name, key) for name, command in COMMANDS.items() for key in SETTINGS
+    if key not in command.settings])
+def test_setting_a_command_does_not_read_is_refused(tmp_path, capsys,
+                                                   monkeypatch,
+                                                   runners_unreached,
+                                                   command, key):
+    # as a flag and as a key of the command's own section
+    monkeypatch.chdir(tmp_path)
+    flag = flag_args({key: SAMPLES[key]})
+    assert main([*command_argv(command), *flag]) == 1
+    assert (f"unrecognized arguments: {' '.join(flag)}"
+            in capsys.readouterr().err)
     config = tmp_path / "exp.ini"
-    config.write_text(f"[loss-grid]\n{key} = {SAMPLES[key]}\n")
-    from_file = build_spec(parse(["loss-grid", *others,
-                                  "--config", str(config)]))
-    from_flag = build_spec(parse(["loss-grid", *others,
-                                  *flag_args({key: SAMPLES[key]})]))
-    assert from_file == from_flag
-    assert from_flag != build_spec(parse(["loss-grid",
-                                          *flag_args(CSV_FLAGS)]))
+    config.write_text(f"[{command}]\n{key} = {SAMPLES[key]}\n")
+    assert main([*command_argv(command), "--config", str(config)]) == 1
+    assert (f"error: {config}: [{command}] has unknown keys: {key}\n"
+            == capsys.readouterr().err)
+    assert os.listdir(tmp_path) == ["exp.ini"]
+
+
+def test_default_section_serves_only_the_commands_that_declare_a_key(
+        tmp_path, capsys):
+    config = tmp_path / "exp.ini"
+    config.write_text("[DEFAULT]\ntrials = 3\nseed = 4\n")
+    spec = build_spec(parse(["train", "--config", str(config)]))
+    assert (spec.trials, spec.seed) == (10, 4)
+    spec = build_spec(parse(["loss-grid", "--config", str(config)]))
+    assert (spec.trials, spec.seed) == (3, 4)
+    config.write_text("[train]\ntrials = 3\n")
+    assert main(["train", "--config", str(config)]) == 1
+    assert (f"error: {config}: [train] has unknown keys: trials"
+            in capsys.readouterr().err)
 
 
 def test_batch_size_flag_is_list_only_for_sweep():
@@ -227,7 +291,7 @@ def test_file_flags_a_command_ignores_are_usage_errors(tmp_path, capsys,
                  "--checkpoint", "m.ckpt"]) == 0
     weights = (tmp_path / "m.ckpt").read_bytes()
     capsys.readouterr()
-    assert main([*argv, "--dataset", TOY_DATA, *FAST]) == 1
+    assert main([*argv, "--dataset", TOY_DATA, "--seed", "5"]) == 1
     assert "unrecognized arguments:" in capsys.readouterr().err
     assert sorted(os.listdir(tmp_path)) == ["m.ckpt"]
     assert (tmp_path / "m.ckpt").read_bytes() == weights
@@ -254,7 +318,7 @@ def test_main_partial_failure_exit_code(tmp_path, capsys):
 def test_loss_grid_writes_table(tmp_path):
     out = tmp_path / "grid.tsv"
     code = main(["loss-grid", "--dataset", TOY_DATA, "--loss", "f_1",
-                 *FAST, "--out", str(out)])
+                 *FAST, *ONE_TRIAL, "--out", str(out)])
     assert code == 0
     lines = out.read_text().splitlines()
     assert lines[0].startswith("experiment\tloss\t")
@@ -263,7 +327,7 @@ def test_loss_grid_writes_table(tmp_path):
 
 def test_loss_grid_stdout_and_json(capsys):
     code = main(["loss-grid", "--dataset", TOY_DATA, "--loss", "f_1",
-                 *FAST, "--format", "json"])
+                 *FAST, *ONE_TRIAL, "--format", "json"])
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload[0]["experiment"] == "loss-grid"
@@ -273,7 +337,8 @@ def test_loss_grid_stdout_and_json(capsys):
 def test_cli_output_is_byte_identical_across_runs(tmp_path):
     first = tmp_path / "a.tsv"
     second = tmp_path / "b.tsv"
-    argv = ["fbeta-sweep", "--dataset", TOY_DATA, "--betas", "1,2", *FAST]
+    argv = ["fbeta-sweep", "--dataset", TOY_DATA, "--betas", "1,2", *FAST,
+            *ONE_TRIAL]
     assert main([*argv, "--out", str(first)]) == 0
     assert main([*argv, "--out", str(second)]) == 0
     assert first.read_bytes() == second.read_bytes()
@@ -302,11 +367,13 @@ def test_train_then_evaluate_roundtrip(tmp_path, capsys):
 
 
 def test_train_and_evaluate_tables_match_for_the_same_flags(tmp_path):
+    # evaluate takes the dataset and the scoring flags of train's
     ckpt = tmp_path / "model.ckpt"
     flags = ["--dataset", TOY_DATA, "--loss", "f_2", "--tau-grid", "0.3,0.6",
-             *FAST]
+             "--seed", "5"]
     trained, evaluated = tmp_path / "train.tsv", tmp_path / "eval.tsv"
-    assert main(["train", *flags, "--checkpoint", str(ckpt),
+    assert main(["train", *flags, "--epochs", "8", "--window", "4",
+                 "--batch-size", "64", "--checkpoint", str(ckpt),
                  "--out", str(trained)]) == 0
     assert main(["evaluate", *flags, "--checkpoint", str(ckpt),
                  "--out", str(evaluated)]) == 0
@@ -369,7 +436,7 @@ def test_batch_sweep_cli(tmp_path):
     out = tmp_path / "sweep.tsv"
     code = main(["batch-sweep", "--dataset", TOY_DATA,
                  "--batch-size", "32,128", "--loss", "f_1",
-                 "--trials", "1", "--epochs", "6", "--window", "3",
+                 "--epochs", "6", "--window", "3",
                  "--seed", "5", "--out", str(out)])
     assert code == 0
     lines = out.read_text().splitlines()
@@ -379,7 +446,7 @@ def test_batch_sweep_cli(tmp_path):
 
 def test_sigmoid_compare_cli(capsys):
     code = main(["sigmoid-compare", "--dataset", TOY_DATA,
-                 "--loss", "f_1", *FAST])
+                 "--loss", "f_1", *FAST, *ONE_TRIAL])
     assert code == 0
     body = capsys.readouterr().out
     assert "piecewise" in body and "sigmoid_fit" in body
@@ -401,7 +468,7 @@ def test_failed_writes_leave_old_artifacts_intact(tmp_path, failing_writes,
         assert code == 1
         assert "No space left" in capsys.readouterr().err
     assert main(["loss-grid", "--dataset", TOY_DATA, "--loss", "f_1",
-                 *FAST, "--out", str(tmp_path / "grid.tsv")]) == 1
+                 *FAST, *ONE_TRIAL, "--out", str(tmp_path / "grid.tsv")]) == 1
     assert "No space left" in capsys.readouterr().err
     for name, body in old.items():
         assert (tmp_path / name).read_bytes() == body
@@ -412,7 +479,36 @@ def test_fbeta_sweep_accepts_a_beta_without_a_loss_token(tmp_path):
     # 1e-05 prints as f_1e-05, which is no f_<number> token; it is a label
     out = tmp_path / "sweep.tsv"
     assert main(["fbeta-sweep", "--dataset", TOY_DATA,
-                 "--betas", "0.00001,1", *FAST, "--out", str(out)]) == 0
+                 "--betas", "0.00001,1", *FAST, *ONE_TRIAL,
+                 "--out", str(out)]) == 0
     rows = [line.split("\t") for line in out.read_text().splitlines()[1:]]
     assert [row[1] for row in rows] == ["f_1e-05"] * 3 + ["f_1"] * 3
     assert all(row[-1] == "ok" for row in rows)
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--loss", "f_beta", "--beta", "inf"],
+    ["evaluate", "--loss", "f_beta", "--beta", "inf",
+     "--checkpoint", "m.ckpt"],
+    ["fbeta-sweep", "--betas", "1,1e200"],
+])
+def test_beta_whose_square_overflows_is_refused_before_training(
+        capsys, runners_unreached, argv):
+    assert main([*argv, "--dataset", TOY_DATA]) == 1
+    assert "error: beta squared must be finite, got beta " in (
+        capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("argv", [["loss-grid", "--out"],
+                                  ["train", "--checkpoint"],
+                                  ["train", "--report"]])
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_output_path_that_cannot_be_written_is_refused_first(
+        tmp_path, capsys, runners_unreached, argv, where):
+    path = tmp_path / "missing" / "x" if where == "missing directory" \
+        else tmp_path
+    assert main([*argv, str(path), "--dataset", TOY_DATA]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot ")
+    assert os.path.realpath(path) in err
+    assert os.listdir(tmp_path) == []

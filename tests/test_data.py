@@ -531,3 +531,11 @@ def test_write_atomic_refuses_what_is_not_a_regular_file(tmp_path):
         with pytest.raises(ValueError, match="not a regular file"):
             write_atomic(path, b"new")
     assert os.listdir(tmp_path) == ["pipe"]
+
+
+def test_write_atomic_refuses_a_path_in_no_directory(tmp_path):
+    path = tmp_path / "missing" / "out.bin"
+    with pytest.raises(ValueError,
+                       match=re.escape(f"no such directory {path.parent}")):
+        write_atomic(path, b"new")
+    assert os.listdir(tmp_path) == []

@@ -56,8 +56,9 @@ def test_parse_loss_token_beta_forms():
     assert parse_loss_token("f_2.5") == ("f_2.5", "f_beta", 2.5)
     with pytest.raises(ValueError):
         parse_loss_token("hinge")
-    with pytest.raises(ValueError):
-        parse_loss_token("f_0")
+    # LossConfig checks the beta of every token
+    with pytest.raises(ValueError, match="beta must be positive, got 0.0"):
+        loss_config_for(toy_spec("train"), "f_0", "piecewise")
 
 
 # ----------------------------------------------------------- dataset source

@@ -394,6 +394,9 @@ def test_loss_config_validation():
         LossConfig(objective="hinge")
     with pytest.raises(ValueError):
         LossConfig(beta=0.0)
+    for beta in (float("inf"), 1e155):
+        with pytest.raises(ValueError, match="beta squared must be finite"):
+            LossConfig(beta=beta)
     with pytest.raises(ValueError):
         LossConfig(tau_train=1.0)
     with pytest.raises(ValueError):

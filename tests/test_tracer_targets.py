@@ -58,11 +58,11 @@ def test_traced_train_and_evaluate_reach_every_wrapper(tracer, installed,
     # installed on the module are the ones called
     recorder, absent = installed
     assert absent == []
-    flags = ["--dataset", TOY_DATA, "--loss", "auroc", "--approximation",
-             "sigmoid_fit", "--epochs", "2", "--window", "2",
-             "--batch-size", "64", "--seed", "5",
+    flags = ["--dataset", TOY_DATA, "--loss", "auroc", "--seed", "5",
              "--checkpoint", str(tmp_path / "m.ckpt")]
-    assert main(["train", *flags, "--out", str(tmp_path / "t.tsv")]) == 0
+    assert main(["train", *flags, "--approximation", "sigmoid_fit",
+                 "--epochs", "2", "--window", "2", "--batch-size", "64",
+                 "--out", str(tmp_path / "t.tsv")]) == 0
     assert main(["evaluate", *flags, "--out", str(tmp_path / "e.tsv")]) == 0
     metrics = tracer.summarize(recorder.spans, recorder.missing_spans)
     assert metrics["cli.train.calls"] == 1
