@@ -150,6 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
         # no prefixes: evaluate would take --tau for --tau-grid, and
         # fbeta-sweep --beta for --betas
         sub = subparsers.add_parser(name, allow_abbrev=False)
+        sub.set_defaults(command_parser=sub)
         sub.add_argument("--config", help="INI config file")
         for key, (convert, text) in SETTINGS.items():
             if key in command.settings:
@@ -244,7 +245,11 @@ def _evaluate_checkpoint(spec: ExperimentSpec,
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args, extra = build_parser().parse_known_args(argv)
+        if extra:
+            # under the command's usage line, which shows the flags it takes
+            args.command_parser.error(
+                f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         # argparse has printed the usage error and exits 2, which here
         # means failed cells

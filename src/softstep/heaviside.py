@@ -21,6 +21,10 @@ import numpy as np
 
 EPS_TAU_MATCH = 1e-9
 
+# the logistic fit's iteration cap, and the residual gain that ends it
+FIT_MAX_ITER = 100
+FIT_TOL = 1e-10
+
 
 class SigmoidFitError(RuntimeError):
     """Least-squares logistic fit could not reduce its residual."""
@@ -226,19 +230,19 @@ def _logistic_sse(grid, target, k, center):
     return float(np.sum((logistic(k * (grid - center)) - target) ** 2))
 
 
-def _fit_logistic(grid, target, k0, center0, max_iter=100, tol=1e-10):
+def _fit_logistic(grid, target, k0, center0):
     """Gauss-Newton with step halving on (k, center).
 
     Raises SigmoidFitError when the residual is or becomes non-finite, or
     the normal equations degenerate, i.e. the iteration cannot reduce the
-    residual. Stopping with residual improvement below ``tol`` counts as
-    convergence.
+    residual. Stopping with residual improvement below ``FIT_TOL`` counts
+    as convergence.
     """
     k, center = float(k0), float(center0)
     residual = _logistic_sse(grid, target, k, center)
     if not np.isfinite(residual):
         raise SigmoidFitError("initial residual is not finite")
-    for _ in range(max_iter):
+    for _ in range(FIT_MAX_ITER):
         s = logistic(k * (grid - center))
         ds = s * (1.0 - s)
         r = s - target
@@ -266,7 +270,7 @@ def _fit_logistic(grid, target, k0, center0, max_iter=100, tol=1e-10):
             break
         gain = residual - improved[2]
         k, center, residual = improved
-        if gain < tol:
+        if gain < FIT_TOL:
             break
     return k, center, residual
 

@@ -51,8 +51,7 @@ class LossConfig:
     """Which objective to train on and the settings it needs.
 
     ``tau_train`` drives the single-threshold losses (accuracy, f_beta),
-    ``tau_grid`` the threshold sweep inside the AUROC loss and, when
-    ``average_over_grid`` is set, grid-averaged single-threshold losses.
+    ``tau_grid`` the threshold sweep inside the AUROC loss.
     ``approximation`` picks the step surrogate family: "piecewise" or
     "sigmoid_fit" (a logistic fitted to the piecewise curve).
     """
@@ -63,7 +62,6 @@ class LossConfig:
     tau_grid: tuple[float, ...] = TAU_GRID_DEFAULT
     delta: float = 0.1
     approximation: str = "piecewise"
-    average_over_grid: bool = False
 
     def __post_init__(self):
         if self.objective not in OBJECTIVES:
@@ -117,37 +115,36 @@ def f_beta(counts, beta: float = 1.0, tau=None) -> MetricValue:
     return _guarded(f"f_{beta:g}", num, den, tau)
 
 
-def _soft_confusion(batch, config, over_grid):
-    taus = config.tau_grid if over_grid else (config.tau_train,)
+def _soft_confusion(batch, config, taus):
     stack = cached_stack(config.approximation, tuple(taus), config.delta)
     return soft_confusion(batch, stack)
 
 
 def fbeta_loss(batch: LabeledBatch, config: LossConfig):
-    """1 - soft F-beta (averaged over thresholds) and its gradient."""
-    soft = _soft_confusion(batch, config, config.average_over_grid)
+    """1 - soft F-beta at ``config.tau_train`` and its gradient."""
+    soft = _soft_confusion(batch, config, (config.tau_train,))
     tp, fp, fn, _ = soft.counts.T
     b2 = config.beta * config.beta
     den = (1.0 + b2) * tp + b2 * fn + fp + EPSILON
     value = (1.0 + b2) * tp / den
-    scale = (1.0 + b2) / (len(den) * den ** 2)
+    scale = (1.0 + b2) / den ** 2
     d_counts = np.array((-(b2 * fn + fp + EPSILON) * scale,
                          tp * scale, b2 * tp * scale, np.zeros_like(tp))).T
-    return 1.0 - float(value.sum()) / len(value), soft.grad(d_counts)
+    return 1.0 - float(value[0]), soft.grad(d_counts)
 
 
 def accuracy_loss(batch: LabeledBatch, config: LossConfig):
-    """1 - soft accuracy (averaged over thresholds) and its gradient."""
-    soft = _soft_confusion(batch, config, config.average_over_grid)
+    """1 - soft accuracy at ``config.tau_train`` and its gradient."""
+    soft = _soft_confusion(batch, config, (config.tau_train,))
     tp, fp, fn, tn = soft.counts.T
     correct = tp + tn
     den = correct + fp + fn + EPSILON
     value = correct / den
-    scale = 1.0 / (len(den) * den ** 2)
+    scale = 1.0 / den ** 2
     d_correct = (correct - den) * scale
     d_wrong = correct * scale
     d_counts = np.array((d_correct, d_wrong, d_wrong, d_correct)).T
-    return 1.0 - float(value.sum()) / len(value), soft.grad(d_counts)
+    return 1.0 - float(value[0]), soft.grad(d_counts)
 
 
 def _require_both_classes(batch):
@@ -167,7 +164,7 @@ def auroc_soft_loss(batch: LabeledBatch, config: LossConfig):
     the predictions.
     """
     _require_both_classes(batch)
-    soft = _soft_confusion(batch, config, over_grid=True)
+    soft = _soft_confusion(batch, config, config.tau_grid)
     tp, fp, fn, tn = soft.counts.T
     fpr_den = fp + tn + EPSILON
     tpr_den = tp + fn + EPSILON

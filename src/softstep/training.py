@@ -173,8 +173,7 @@ def train(model: MlpModel, split: SplitDataset, config: TrainConfig,
             if not np.isfinite(loss) or not np.all(np.isfinite(loss_grad)):
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch}, step {step + 1}")
-            grads = backward(model, loss_grad)
-            adam_step(optimizer, model, grads)
+            adam_step(optimizer, model, backward(model, loss_grad))
             step += 1
             loss_sum += loss * len(labels)
             seen += len(labels)

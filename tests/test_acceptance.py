@@ -163,9 +163,7 @@ def test_criterion_02_gradient_oracle():
     for objective, boundaries in boundary_pool.items():
         config = LossConfig(objective=objective)
         model = MlpModel.create(2, rng=np.random.default_rng(7))
-        spread = model.copy_parameters()
-        spread[-2] = spread[-2] * 4.0       # widen the prediction range
-        model.set_parameters(spread)
+        model.weights[2][...] *= 4.0        # widen the prediction range
 
         features = None
         while features is None:
@@ -178,27 +176,17 @@ def test_criterion_02_gradient_oracle():
             features = cand
         labels = rng.integers(0, 2, size=48).astype(float)
         labels[:2] = (0.0, 1.0)             # both classes, for auroc
-        flat = np.concatenate([a.ravel() for a in model.copy_parameters()])
+        flat = model.flat.copy()
 
         def loss_at(theta):
-            arrays = []
-            offset = 0
-            for ref in model.copy_parameters():
-                arrays.append(theta[offset:offset + ref.size]
-                              .reshape(ref.shape))
-                offset += ref.size
             probe = MlpModel.create(2, rng=np.random.default_rng(7))
-            probe.set_parameters(arrays)
+            probe.flat[:] = theta
             batch = LabeledBatch(forward(probe, features), labels)
             return objective_loss(batch, config)[0]
 
         batch = LabeledBatch(forward(model, features), labels)
         _, pred_grad = objective_loss(batch, config)
-        model_grads = backward(model, pred_grad)
-        analytic_flat = np.concatenate(
-            [w.ravel() for pair in zip(model_grads.weights,
-                                       model_grads.biases)
-             for w in pair])
+        analytic = backward(model, pred_grad)
 
         for index in rng.choice(flat.size, size=130, replace=False):
             def at(x, index=index):
@@ -206,7 +194,7 @@ def test_criterion_02_gradient_oracle():
                 moved[index] = x
                 return loss_at(moved)
             numeric = central_difference(at, flat[index])
-            assert relative_gap(analytic_flat[index], numeric) < 1e-4, \
+            assert relative_gap(analytic[index], numeric) < 1e-4, \
                 f"{objective} parameter {index}"
             probes += 1
     assert probes >= 500

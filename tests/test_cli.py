@@ -206,8 +206,11 @@ def test_setting_a_command_does_not_read_is_refused(tmp_path, capsys,
     monkeypatch.chdir(tmp_path)
     flag = flag_args({key: SAMPLES[key]})
     assert main([*command_argv(command), *flag]) == 1
-    assert (f"unrecognized arguments: {' '.join(flag)}"
-            in capsys.readouterr().err)
+    # reported under the command's own usage line, not the top-level one
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: softstep {command} ")
+    assert (f"\nsoftstep {command}: error: unrecognized arguments: "
+            f"{' '.join(flag)}\n" in err)
     config = tmp_path / "exp.ini"
     config.write_text(f"[{command}]\n{key} = {SAMPLES[key]}\n")
     assert main([*command_argv(command), "--config", str(config)]) == 1

@@ -171,16 +171,6 @@ def test_fbeta_loss_gradient_finite_difference():
             assert grad[i] == pytest.approx(fd, rel=1e-5, abs=1e-9)
 
 
-def test_fbeta_loss_grid_averaged():
-    rng = np.random.default_rng(103)
-    batch = random_batch(rng, 30)
-    cfg_avg = LossConfig(objective="f_beta", average_over_grid=True)
-    per_tau = [fbeta_loss(batch, LossConfig(objective="f_beta", tau_train=t))[0]
-               for t in cfg_avg.tau_grid]
-    loss, _ = fbeta_loss(batch, cfg_avg)
-    assert loss == pytest.approx(np.mean(per_tau), rel=1e-12)
-
-
 def test_metric_losses_stay_in_unit_interval():
     rng = np.random.default_rng(107)
     for _ in range(30):

@@ -10,7 +10,6 @@ from softstep.metrics import LossConfig, bce_loss, fbeta_loss
 from softstep.network import (
     AdamState,
     MlpModel,
-    ModelGrads,
     StaleCacheError,
     adam_step,
     backward,
@@ -25,21 +24,25 @@ def toy_model(input_dim=3, dropout=0.0, seed=0):
                            rng=np.random.default_rng(seed))
 
 
-def grad_arrays(grads):
-    """Gradient arrays in the order of ``model.parameters()``."""
-    return [g for pair in zip(grads.weights, grads.biases) for g in pair]
+def param_arrays(model):
+    """w0, b0, w1, b1, w2, b2: the order of ``model.flat``."""
+    return [p for pair in zip(model.weights, model.biases) for p in pair]
 
 
-def param_gradient_fd(model, features, labels, loss_fn, index, coord, h=1e-5):
-    """Central difference of the scalar loss along one parameter coordinate."""
-    param = model.parameters()[index]
-    flat = param.reshape(-1)
-    original = flat[coord]
-    flat[coord] = original + h
+def param_blocks(model):
+    """The indices of each of ``param_arrays(model)`` within ``model.flat``."""
+    ends = np.cumsum([p.size for p in param_arrays(model)])
+    return np.split(np.arange(model.flat.size), ends[:-1])
+
+
+def param_gradient_fd(model, features, labels, loss_fn, coord, h=1e-5):
+    """Central difference of the scalar loss along ``model.flat[coord]``."""
+    original = model.flat[coord]
+    model.flat[coord] = original + h
     up, _ = loss_fn(LabeledBatch(forward(model, features), labels))
-    flat[coord] = original - h
+    model.flat[coord] = original - h
     dn, _ = loss_fn(LabeledBatch(forward(model, features), labels))
-    flat[coord] = original
+    model.flat[coord] = original
     return (up - dn) / (2.0 * h)
 
 
@@ -48,8 +51,7 @@ def param_gradient_fd(model, features, labels, loss_fn, index, coord, h=1e-5):
 
 def test_forward_zero_parameters_gives_half():
     model = toy_model()
-    for p in model.parameters():
-        p[...] = 0.0
+    model.flat[:] = 0.0
     preds = forward(model, np.random.default_rng(1).normal(size=(7, 3)))
     assert np.all(preds == 0.5)
 
@@ -128,9 +130,9 @@ def test_backward_rejects_mismatched_loss_grad():
 def test_backward_zero_loss_grad_gives_zero_param_grads():
     model = toy_model(seed=17)
     forward(model, np.random.default_rng(18).normal(size=(6, 3)))
-    grads = backward(model, np.zeros(6))
-    for g in grad_arrays(grads):
-        assert np.all(g == 0.0)
+    grad = backward(model, np.zeros(6))
+    assert grad.shape == model.flat.shape and grad.dtype == np.float64
+    assert np.all(grad == 0.0)
 
 
 def test_backward_matches_finite_differences_bce():
@@ -140,14 +142,13 @@ def test_backward_matches_finite_differences_bce():
     y = rng.integers(0, 2, 8).astype(float)
     preds = forward(model, x)
     _, loss_grad = bce_loss(LabeledBatch(preds, y))
-    grads = backward(model, loss_grad)
-    for index, grad in enumerate(grad_arrays(grads)):
-        flat = grad.reshape(-1)
-        coords = range(len(flat)) if len(flat) < 40 else \
-            rng.choice(len(flat), 25, replace=False)
+    grad = backward(model, loss_grad)
+    for block in param_blocks(model):
+        coords = block if len(block) < 40 else \
+            rng.choice(block, 25, replace=False)
         for coord in coords:
-            fd = param_gradient_fd(model, x, y, bce_loss, index, int(coord))
-            assert flat[int(coord)] == pytest.approx(fd, rel=1e-5, abs=1e-10)
+            fd = param_gradient_fd(model, x, y, bce_loss, int(coord))
+            assert grad[coord] == pytest.approx(fd, rel=1e-5, abs=1e-10)
 
 
 def test_backward_matches_finite_differences_fbeta():
@@ -165,13 +166,12 @@ def test_backward_matches_finite_differences_fbeta():
         if min(abs(p - b) for p in preds for b in boundaries) > 1e-3:
             break
     _, loss_grad = loss_fn(LabeledBatch(preds, y))
-    grads = backward(model, loss_grad)
-    for index, grad in enumerate(grad_arrays(grads)):
-        flat = grad.reshape(-1)
-        coords = rng.choice(len(flat), min(20, len(flat)), replace=False)
+    grad = backward(model, loss_grad)
+    for block in param_blocks(model):
+        coords = rng.choice(block, min(20, len(block)), replace=False)
         for coord in coords:
-            fd = param_gradient_fd(model, x, y, loss_fn, index, int(coord))
-            assert flat[int(coord)] == pytest.approx(fd, rel=1e-4, abs=1e-9)
+            fd = param_gradient_fd(model, x, y, loss_fn, int(coord))
+            assert grad[coord] == pytest.approx(fd, rel=1e-4, abs=1e-9)
 
 
 def test_backward_with_active_dropout_matches_fd_under_fixed_masks():
@@ -188,20 +188,18 @@ def test_backward_with_active_dropout_matches_fd_under_fixed_masks():
 
     preds = masked_forward()
     _, loss_grad = bce_loss(LabeledBatch(preds, y))
-    grads = backward(model, loss_grad)
+    grad = backward(model, loss_grad)
     h = 1e-5
-    for index in (0, 2, 4):
-        flat_param = model.parameters()[index].reshape(-1)
-        flat_grad = grad_arrays(grads)[index].reshape(-1)
-        for coord in (0, len(flat_param) // 2, len(flat_param) - 1):
-            original = flat_param[coord]
-            flat_param[coord] = original + h
+    for block in param_blocks(model)[0::2]:    # the weight matrices
+        for coord in (block[0], block[len(block) // 2], block[-1]):
+            original = model.flat[coord]
+            model.flat[coord] = original + h
             up, _ = bce_loss(LabeledBatch(masked_forward(), y))
-            flat_param[coord] = original - h
+            model.flat[coord] = original - h
             dn, _ = bce_loss(LabeledBatch(masked_forward(), y))
-            flat_param[coord] = original
+            model.flat[coord] = original
             fd = (up - dn) / (2 * h)
-            assert flat_grad[coord] == pytest.approx(fd, rel=1e-4, abs=1e-10)
+            assert grad[coord] == pytest.approx(fd, rel=1e-4, abs=1e-10)
 
 
 # --------------------------------------------------------------------- adam
@@ -209,21 +207,17 @@ def test_backward_with_active_dropout_matches_fd_under_fixed_masks():
 
 def test_adam_zero_gradient_keeps_parameters():
     model = toy_model(seed=29)
-    before = model.copy_parameters()
+    before = model.flat.copy()
     state = AdamState.create(model)
-    zero = ModelGrads(weights=[np.zeros_like(w) for w in model.weights],
-                      biases=[np.zeros_like(b) for b in model.biases])
-    adam_step(state, model, zero)
-    for p, q in zip(model.parameters(), before):
-        assert np.array_equal(p, q)
+    adam_step(state, model, np.zeros_like(model.flat))
+    assert np.array_equal(model.flat, before)
     assert state.step == 1
 
 
 def test_adam_step_counter():
     model = toy_model()
     state = AdamState.create(model)
-    g = ModelGrads(weights=[np.ones_like(w) for w in model.weights],
-                   biases=[np.ones_like(b) for b in model.biases])
+    g = np.ones_like(model.flat)
     for _ in range(7):
         adam_step(state, model, g)
     assert state.step == 7
@@ -232,8 +226,7 @@ def test_adam_step_counter():
 def test_adam_constant_gradient_step_approaches_lr():
     model = toy_model(seed=31)
     state = AdamState.create(model, lr=0.001)
-    g = ModelGrads(weights=[np.full_like(w, 0.5) for w in model.weights],
-                   biases=[np.full_like(b, 0.5) for b in model.biases])
+    g = np.full_like(model.flat, 0.5)
     for _ in range(500):
         before = model.weights[0][0, 0]
         adam_step(state, model, g)
@@ -273,7 +266,7 @@ def test_fused_adam_matches_per_array_update_bit_for_bit(
         seed, input_dim, steps, lr, log_scale):
     rng = np.random.default_rng(seed)
     model = MlpModel.create(input_dim, rng=rng)
-    reference = model.copy_parameters()
+    reference = [p.copy() for p in param_arrays(model)]
     ref_state = {"step": 0, "lr": lr,
                  "m": [np.zeros_like(p) for p in reference],
                  "v": [np.zeros_like(p) for p in reference]}
@@ -282,8 +275,11 @@ def test_fused_adam_matches_per_array_update_bit_for_bit(
         grads = [rng.normal(scale=10.0 ** log_scale, size=p.shape)
                  * (rng.random(p.shape) < 0.8) for p in reference]
         per_array_adam_step(ref_state, reference, grads)
-        adam_step(state, model, ModelGrads(weights=grads[0::2],
-                                           biases=grads[1::2]))
+        grad = np.concatenate([g.ravel() for g in grads])
+        given = grad.copy()
+        adam_step(state, model, grad)
+        # the caller's gradient is read, never written
+        assert grad.tobytes() == given.tobytes()
     assert state.step == steps
     assert model.flat.tobytes() == np.concatenate(
         [p.ravel() for p in reference]).tobytes()
@@ -294,18 +290,17 @@ def test_fused_adam_matches_per_array_update_bit_for_bit(
 
 def test_adam_rejects_gradients_of_another_size():
     model = toy_model()
-    grads = ModelGrads(weights=[np.zeros((4, 32)), np.zeros((32, 16)),
-                                np.zeros((16, 1))],
-                       biases=[np.zeros(n) for n in (32, 16, 1)])
-    with pytest.raises(ValueError, match="gradient shape"):
-        adam_step(AdamState.create(model), model, grads)
+    wider = toy_model(input_dim=4).flat
+    for grad in (np.zeros_like(wider), np.zeros((1, model.flat.size))):
+        with pytest.raises(ValueError, match="gradient shape"):
+            adam_step(AdamState.create(model), model, grad)
 
 
 # ------------------------------------------------------- flat parameter buffer
 
 
 def assert_views_of_flat(model):
-    params = model.parameters()
+    params = param_arrays(model)
     assert model.flat.dtype == np.float64 and model.flat.flags.c_contiguous
     assert model.flat.size == sum(p.size for p in params)
     offset = 0
@@ -324,8 +319,8 @@ def assert_views_of_flat(model):
 def test_parameters_are_views_of_one_flat_buffer(tmp_path):
     model = toy_model(input_dim=4, seed=43)
     assert_views_of_flat(model)
-    model.set_parameters([np.full_like(p, i)
-                          for i, p in enumerate(model.parameters())])
+    for i, p in enumerate(param_arrays(model)):
+        p[...] = i
     assert np.array_equal(model.flat, np.repeat(
         np.arange(6.0), [4 * 32, 32, 32 * 16, 16, 16, 1]))
     assert_views_of_flat(model)
@@ -381,8 +376,7 @@ def test_checkpoint_roundtrip(tmp_path):
     save_checkpoint(model, path)
     loaded = load_checkpoint(path)
     assert loaded.dropout_rates == model.dropout_rates
-    for p, q in zip(loaded.parameters(), model.parameters()):
-        assert np.array_equal(p, q)
+    assert np.array_equal(loaded.flat, model.flat)
     x = np.random.default_rng(38).normal(size=(9, 5))
     assert np.array_equal(forward(loaded, x), forward(model, x))
 
@@ -422,8 +416,8 @@ def test_checkpoint_roundtrip_is_exact(tmp_path_factory, seed, input_dim,
     loaded = load_checkpoint(path)
     assert loaded.dropout_rates == model.dropout_rates
     assert loaded.flat.tobytes() == model.flat.tobytes()
-    assert [p.shape for p in loaded.parameters()] == \
-        [p.shape for p in model.parameters()]
+    assert [p.shape for p in param_arrays(loaded)] == \
+        [p.shape for p in param_arrays(model)]
 
 
 def test_checkpoint_refuses_every_truncation(tmp_path):

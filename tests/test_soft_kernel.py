@@ -159,33 +159,12 @@ def test_single_threshold_fbeta_gradient(batch, tau, delta, family, beta):
 
 
 @settings(max_examples=60, deadline=None)
-@given(batches(max_size=10, values=interior), tau_grids, deltas, families,
-       st.floats(0.25, 4.0))
-def test_grid_averaged_fbeta_gradient(batch, taus, delta, family, beta):
-    config = LossConfig(objective="f_beta", beta=beta, tau_grid=taus,
-                        delta=delta, approximation=family,
-                        average_over_grid=True)
-    assume_smooth(batch, config, taus)
-    assume_fbeta_well_conditioned(batch, config, taus)
-    assert_gradient_matches_differences(fbeta_loss, batch, config)
-
-
-@settings(max_examples=60, deadline=None)
 @given(batches(max_size=10, values=interior), single_thresholds, deltas,
        families)
 def test_single_threshold_accuracy_gradient(batch, tau, delta, family):
     config = LossConfig(objective="accuracy", tau_train=tau, delta=delta,
                         approximation=family)
     assume_smooth(batch, config, (tau,))
-    assert_gradient_matches_differences(accuracy_loss, batch, config)
-
-
-@settings(max_examples=60, deadline=None)
-@given(batches(max_size=10, values=interior), tau_grids, deltas, families)
-def test_grid_averaged_accuracy_gradient(batch, taus, delta, family):
-    config = LossConfig(objective="accuracy", tau_grid=taus, delta=delta,
-                        approximation=family, average_over_grid=True)
-    assume_smooth(batch, config, taus)
     assert_gradient_matches_differences(accuracy_loss, batch, config)
 
 

@@ -77,8 +77,7 @@ def test_train_fixed_seed_reproduces_report_and_model():
     assert report_a.train_loss == report_b.train_loss
     assert report_a.val_loss == report_b.val_loss
     assert report_a.best_epoch == report_b.best_epoch
-    for p, q in zip(model_a.parameters(), model_b.parameters()):
-        assert np.array_equal(p, q)
+    assert np.array_equal(model_a.flat, model_b.flat)
     dict_a = report_a.summary_dict()
     dict_b = report_b.summary_dict()
     dict_a.pop("duration_seconds")
@@ -191,12 +190,11 @@ def test_auroc_objective_refuses_single_class_validation_split():
     config = TrainConfig(loss=LossConfig(objective="auroc"), batch_size=16,
                          max_epochs=3, window=3, seed=15)
     model = fresh_model(split, config)
-    before = model.copy_parameters()
+    before = model.flat.copy()
     with pytest.raises(ValueError, match="auroc.*validation split"):
         train(model, split, config,
               step_callback=lambda *args: pytest.fail("a step ran"))
-    assert all(np.array_equal(a, b)
-               for a, b in zip(before, model.copy_parameters()))
+    assert np.array_equal(before, model.flat)
 
 
 # ------------------------------------------------------------------- report
