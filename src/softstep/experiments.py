@@ -5,10 +5,16 @@ derived from the master seed, each trial reseeds as ``seed + trial_index``
 (so trial order or concurrency cannot change results), and the output is
 a flat table that serializes byte-identically for identical specs.  A
 failed cell becomes an explicit error row instead of aborting siblings.
+
+The batch sweep's per-step probe only reads the weights and never feeds
+back into training, so where the process can fork (see _probe_can_fork)
+it runs in a worker process beside training, with the same results as
+inline.
 """
 
 from __future__ import annotations
 
+import os
 import re
 import sys
 from dataclasses import dataclass, field
@@ -42,6 +48,10 @@ BETAS_DEFAULT = (1.0, 2.0, 3.0)
 # rng purpose tag for model initialization; data/training tags live in
 # their own modules
 _TAG_MODEL_INIT = 7
+
+# Batch-sweep steps whose probe may be in the worker at once: one being
+# scored while training takes the next step, and one queued behind it.
+_PROBE_WINDOW = 2
 
 _F_TOKEN = re.compile(r"^f_(-?\d+(?:\.\d+)?)$")
 
@@ -428,23 +438,129 @@ def run_batch_sweep(spec: ExperimentSpec) -> ResultTable:
 
 def _batch_deviations(spec: ExperimentSpec, split: SplitDataset,
                       loss: LossConfig, batch_size: int) -> list[float]:
-    labels = split.train.labels
-    deviations = []
-
-    def record(model, epoch, step, idx):
-        # the batch's rows are rows of the train split, so one eval forward
-        # over the split scores both
-        preds = forward(model, split.train.features)
-        batch_f1 = _hard_f1(preds[idx], labels[idx], spec.tau)
-        split_f1 = _hard_f1(preds, labels, spec.tau)
-        deviations.append(abs(batch_f1 - split_f1))
-
     model = trial_model(spec, split.train.dims, spec.seed)
-    train(model, split, train_config_for(spec, loss, spec.seed, batch_size),
-          step_callback=record)
+    config = train_config_for(spec, loss, spec.seed, batch_size)
+    if _probe_can_fork():
+        deviations = _deviations_in_worker(model, split, config, spec.tau)
+    else:
+        deviations = []
+
+        def record(model, epoch, step, idx):
+            deviations.append(_probe_deviation(
+                model, split.train.features, split.train.labels, idx,
+                spec.tau))
+
+        train(model, split, config, step_callback=record)
     if not deviations:
         raise RuntimeError("no optimizer steps ran")
     return deviations
+
+
+def _probe_deviation(model: MlpModel, features, labels, idx,
+                     tau: float) -> float:
+    """|F1(batch) - F1(split)| of the model, at threshold tau.
+
+    The batch's rows are rows of the split, so one eval forward over the
+    split scores both.
+    """
+    preds = forward(model, features)
+    return abs(_hard_f1(preds[idx], labels[idx], tau)
+               - _hard_f1(preds, labels, tau))
+
+
+def _probe_can_fork() -> bool:
+    """Whether a forked worker can run the probe beside training.
+
+    Only on Linux, from a process with one OS thread (forking a threaded
+    process is unsafe, and a BLAS thread pool would compete with the
+    worker for the CPUs) that may run on at least two CPUs.
+    """
+    if not sys.platform.startswith("linux"):
+        return False
+    try:
+        threads = len(os.listdir("/proc/self/task"))
+    except OSError:
+        return False
+    return threads == 1 and len(os.sched_getaffinity(0)) >= 2
+
+
+def _deviations_in_worker(model: MlpModel, split: SplitDataset,
+                          config: TrainConfig, tau: float) -> list[float]:
+    """Train in this process; probe each step's weights in a forked worker.
+
+    After each step the weights and the batch's row indices go down a pipe,
+    and at most _PROBE_WINDOW steps are in flight, so the worker scores one
+    step while training takes the next.  Deviations come back in step
+    order.  The worker never outlives this call.
+    """
+    import multiprocessing
+
+    context = multiprocessing.get_context("fork")
+    pipe, worker_end = context.Pipe()
+    worker = context.Process(
+        target=_probe_worker, daemon=True,
+        args=(worker_end, model, split.train.features, split.train.labels,
+              tau))
+    worker.start()
+    worker_end.close()
+    deviations = []
+    in_flight = 0
+
+    def worker_died():
+        worker.join()
+        return RuntimeError(
+            f"probe worker exited with code {worker.exitcode}")
+
+    def receive():
+        nonlocal in_flight
+        try:
+            result = pipe.recv()
+        except (EOFError, OSError):
+            raise worker_died() from None
+        in_flight -= 1
+        if isinstance(result, Exception):
+            raise result
+        deviations.append(result)
+
+    def send(model, epoch, step, idx):
+        nonlocal in_flight
+        if in_flight == _PROBE_WINDOW:
+            receive()
+        try:
+            pipe.send_bytes(model.flat)
+            pipe.send_bytes(idx)
+        except OSError:
+            raise worker_died() from None
+        in_flight += 1
+
+    try:
+        train(model, split, config, step_callback=send)
+        while in_flight:
+            receive()
+    finally:
+        try:
+            pipe.send_bytes(b"")
+        except OSError:
+            pass
+        worker.join()
+        pipe.close()
+    return deviations
+
+
+def _probe_worker(pipe, model: MlpModel, features, labels,
+                  tau: float) -> None:
+    """Score (weights, indices) message pairs until an empty message.
+
+    An exception is sent back in place of the deviation, so the parent
+    raises it as the inline probe would have.
+    """
+    while pipe.recv_bytes_into(model.flat):
+        idx = np.frombuffer(pipe.recv_bytes(), dtype=np.intp)
+        try:
+            result = _probe_deviation(model, features, labels, idx, tau)
+        except Exception as exc:
+            result = exc
+        pipe.send(result)
 
 
 def _hard_f1(preds, labels, tau: float) -> float:

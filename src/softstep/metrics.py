@@ -14,6 +14,8 @@ silently reported as a number.
 from __future__ import annotations
 
 import json
+import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +27,13 @@ EPSILON = 1e-7
 TAU_GRID_DEFAULT = tuple(i / 10 for i in range(1, 10))
 
 FORMATS = ("tsv", "json")
+
+# The largest beta whose F-beta loss gradient cannot overflow.  fbeta_loss
+# squares den = (1 + b2)·tp + b2·fn + fp + EPSILON with b2 = beta², and
+# tp + fn + fp <= n, so den <= 2·(1 + b2)·n with room for EPSILON and
+# rounding.  den² stays finite on any batch of up to 2**53 rows while
+# 1 + b2 <= sqrt(float max) / (2·2**53); beta is about 8.6e68.
+BETA_MAX = math.sqrt(math.sqrt(sys.float_info.max) / 2.0 ** 54 - 1.0)
 
 
 class UndefinedMetricError(ValueError):
@@ -72,8 +81,9 @@ class LossConfig:
                              f"got {self.approximation!r}")
         if not self.beta > 0.0:
             raise ValueError(f"beta must be positive, got {self.beta}")
-        if self.beta * self.beta == float("inf"):
-            raise ValueError(f"beta squared must be finite, got beta "
+        if self.beta > BETA_MAX:
+            raise ValueError(f"beta must be at most {BETA_MAX:.3g}, or the "
+                             f"F-beta loss gradient can overflow, got beta "
                              f"{self.beta}")
         if not 0.0 < self.tau_train < 1.0:
             raise ValueError(f"tau_train must lie in (0,1), got {self.tau_train}")

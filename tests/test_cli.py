@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -498,8 +501,19 @@ def test_fbeta_sweep_accepts_a_beta_without_a_loss_token(tmp_path):
 def test_beta_whose_square_overflows_is_refused_before_training(
         capsys, runners_unreached, argv):
     assert main([*argv, "--dataset", TOY_DATA]) == 1
-    assert "error: beta squared must be finite, got beta " in (
-        capsys.readouterr().err)
+    assert "error: beta must be at most 8.63e+68, or the F-beta loss " \
+        "gradient can overflow, got beta " in capsys.readouterr().err
+
+
+def test_beta_whose_loss_gradient_would_vanish_is_refused(tmp_path, capsys):
+    # beta squared is finite, but the loss's squared denominator is not, so
+    # training would run on a zero gradient and exit 0
+    report = tmp_path / "report.tsv"
+    assert main(["train", "--loss", "f_beta", "--beta", "1e100",
+                 "--dataset", TOY_DATA, *FAST,
+                 "--report", str(report)]) == 1
+    assert "got beta 1e+100" in capsys.readouterr().err
+    assert not report.exists()
 
 
 @pytest.mark.parametrize("argv", [["loss-grid", "--out"],
@@ -515,3 +529,28 @@ def test_output_path_that_cannot_be_written_is_refused_first(
     assert err.startswith("error: cannot ")
     assert os.path.realpath(path) in err
     assert os.listdir(tmp_path) == []
+
+
+def test_blas_threads_do_not_change_the_tables(tmp_path):
+    # one BLAS thread leaves the process single-threaded, so batch-sweep
+    # probes in its forked worker; two start a BLAS thread, and the probe
+    # runs inline
+    src = str(Path(softstep.cli.__file__).resolve().parents[1])
+    runs = {"batch-sweep": ["--batch-size", "32,128"],
+            "loss-grid": ["--loss", "f_1,accuracy", "--batch-size", "64",
+                          *ONE_TRIAL]}
+    tables = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, (src, os.environ.get("PYTHONPATH")))))
+        for command, extra in runs.items():
+            out = tmp_path / f"{command}-{threads}.tsv"
+            subprocess.run([sys.executable, "-m", "softstep.cli", command,
+                            "--dataset", TOY_DATA, "--epochs", "6",
+                            "--window", "3", "--seed", "5", *extra,
+                            "--out", str(out)], env=env, check=True)
+            tables[command, threads] = out.read_bytes()
+    for command in runs:
+        assert tables[command, "1"] == tables[command, "2"]
+        assert b"\terror" not in tables[command, "1"]

@@ -1,4 +1,6 @@
 import json
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from softstep.experiments import (
     ResultRow,
     ResultTable,
     _batch_deviations,
+    _probe_deviation,
     loss_config_for,
     parse_dataset_source,
     parse_loss_token,
@@ -383,3 +386,77 @@ def test_batch_probe_matches_a_fresh_forward_on_each_batch():
     assert deviations == reference
     # deviations that vary from step to step make misaligned rows show
     assert len(set(deviations)) > len(deviations) // 2
+
+
+# --------------------------------------------------- the probe's two paths
+
+
+def force_probe_path(monkeypatch, in_worker):
+    """Make batch-sweep probe inline or in its worker, whatever the process.
+
+    The worker case is skipped where the real choice would not fork: off
+    Linux, in a multi-threaded process or on one CPU.
+    """
+    if in_worker and not softstep.experiments._probe_can_fork():
+        pytest.skip("the probe forks only a single-threaded Linux process "
+                    "that may run on two or more CPUs")
+    monkeypatch.setattr(softstep.experiments, "_probe_can_fork",
+                        lambda: in_worker)
+
+
+PATHS = pytest.mark.parametrize("in_worker", [False, True],
+                                ids=["inline", "worker"])
+
+
+@PATHS
+def test_probe_paths_give_the_deviations_of_a_step_callback(monkeypatch,
+                                                            in_worker):
+    spec = toy_spec("batch-sweep", max_epochs=4, window=4)
+    split = prepared_split(spec)
+    _, loss = loss_config_for(spec, "f_1", spec.approximation)
+    reference = []
+
+    def probe(model, epoch, step, idx):
+        reference.append(_probe_deviation(
+            model, split.train.features, split.train.labels, idx, spec.tau))
+
+    model = trial_model(spec, split.train.dims, spec.seed)
+    train(model, split, train_config_for(spec, loss, spec.seed, 32),
+          step_callback=probe)
+    force_probe_path(monkeypatch, in_worker)
+    # 192 train rows: six batches of 32 per epoch
+    assert len(reference) == 24
+    assert _batch_deviations(spec, split, loss, 32) == reference
+    assert multiprocessing.active_children() == []
+
+
+@PATHS
+def test_probe_that_raises_gives_the_same_error_row_on_each_path(
+        monkeypatch, in_worker):
+    force_probe_path(monkeypatch, in_worker)
+
+    def fails_on_small_batches(model, features, labels, idx, tau):
+        if len(idx) < 100:
+            raise ValueError(f"probe failed on a batch of {len(idx)} rows")
+        return _probe_deviation(model, features, labels, idx, tau)
+
+    monkeypatch.setattr(softstep.experiments, "_probe_deviation",
+                        fails_on_small_batches)
+    table = run_batch_sweep(toy_spec("batch-sweep", batch_sizes=(64, 192),
+                                     max_epochs=3, window=3))
+    assert [row.status for row in table.rows] == [
+        "error: ValueError: probe failed on a batch of 64 rows", "ok"]
+    assert table.rows[1].steps == 3
+    assert multiprocessing.active_children() == []
+
+
+def test_probe_worker_that_dies_gives_an_error_row_naming_its_exit_code(
+        monkeypatch):
+    force_probe_path(monkeypatch, in_worker=True)
+    monkeypatch.setattr(softstep.experiments, "_probe_deviation",
+                        lambda *args: os._exit(3))
+    table = run_batch_sweep(toy_spec("batch-sweep", batch_sizes=(64, 192),
+                                     max_epochs=3, window=3))
+    assert [row.status for row in table.rows] == [
+        "error: RuntimeError: probe worker exited with code 3"] * 2
+    assert multiprocessing.active_children() == []

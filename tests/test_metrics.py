@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from softstep.confusion import HardCounts, LabeledBatch, SoftCounts, aggregate_soft
 from softstep.heaviside import HeavisideParams
 from softstep.metrics import (
+    BETA_MAX,
     EPSILON,
     LossConfig,
     MetricValue,
@@ -379,13 +381,25 @@ def test_objective_loss_dispatch():
         assert np.array_equal(via_dispatch[1], expected[1])
 
 
+def test_fbeta_loss_gradient_at_the_largest_beta_is_finite_and_nonzero():
+    # past about 1e77 a 256-row batch squared its denominator to inf and
+    # got a gradient of exactly zero; at the bound 4096 rows are still fine
+    rng = np.random.default_rng(0)
+    batch = LabeledBatch(rng.random(4096),
+                         (rng.random(4096) < 0.3).astype(float))
+    with np.errstate(all="raise"):
+        loss, grad = fbeta_loss(batch, LossConfig(beta=BETA_MAX))
+    assert np.isfinite(loss)
+    assert np.all(np.isfinite(grad)) and np.any(grad != 0.0)
+
+
 def test_loss_config_validation():
     with pytest.raises(ValueError):
         LossConfig(objective="hinge")
     with pytest.raises(ValueError):
         LossConfig(beta=0.0)
-    for beta in (float("inf"), 1e155):
-        with pytest.raises(ValueError, match="beta squared must be finite"):
+    for beta in (float("inf"), 1e155, math.nextafter(BETA_MAX, math.inf)):
+        with pytest.raises(ValueError, match="beta must be at most 8.63e"):
             LossConfig(beta=beta)
     with pytest.raises(ValueError):
         LossConfig(tau_train=1.0)
