@@ -8,12 +8,13 @@ failed cell becomes an explicit error row instead of aborting siblings.
 
 The batch sweep's per-step probe only reads the weights and never feeds
 back into training, so where the process can fork (see _probe_can_fork)
-it runs in a worker process beside training, with the same results as
-inline.
+a worker process scores most steps beside training, with the same
+results as inline.
 """
 
 from __future__ import annotations
 
+import collections
 import os
 import re
 import sys
@@ -49,9 +50,16 @@ BETAS_DEFAULT = (1.0, 2.0, 3.0)
 # their own modules
 _TAG_MODEL_INIT = 7
 
-# Batch-sweep steps whose probe may be in the worker at once: one being
-# scored while training takes the next step, and one queued behind it.
+# Batch-sweep steps whose probe may be owed by the worker at once: one
+# being scored while training takes the next steps, and one queued behind
+# it.
 _PROBE_WINDOW = 2
+# Training scores every third step's probe itself and the worker the other
+# two.  On a 2-vCPU VM a probe took about 610 us and a batch-64 training
+# step about 260 us, so this keeps both processes about equally busy at
+# small batches (about 460 and 410 us a step); a worker that scored every
+# step would hold training up.
+_PROBE_IN_TRAINING_EVERY = 3
 
 _F_TOKEN = re.compile(r"^f_(-?\d+(?:\.\d+)?)$")
 
@@ -486,25 +494,27 @@ def _probe_can_fork() -> bool:
 
 def _deviations_in_worker(model: MlpModel, split: SplitDataset,
                           config: TrainConfig, tau: float) -> list[float]:
-    """Train in this process; probe each step's weights in a forked worker.
+    """Train in this process; probe most steps in a forked worker.
 
-    After each step the weights and the batch's row indices go down a pipe,
-    and at most _PROBE_WINDOW steps are in flight, so the worker scores one
-    step while training takes the next.  Deviations come back in step
-    order.  The worker never outlives this call.
+    This process scores every _PROBE_IN_TRAINING_EVERY-th step itself.
+    After each other step the weights and the batch's row indices go down
+    a pipe, and the worker scores that step while training takes the next.
+    Which process scores a step depends only on the step, never on timing,
+    and deviations are kept in step order.  The worker owes at most
+    _PROBE_WINDOW steps, and never outlives this call.
     """
     import multiprocessing
 
+    features, labels = split.train.features, split.train.labels
     context = multiprocessing.get_context("fork")
     pipe, worker_end = context.Pipe()
-    worker = context.Process(
-        target=_probe_worker, daemon=True,
-        args=(worker_end, model, split.train.features, split.train.labels,
-              tau))
+    worker = context.Process(target=_probe_worker, daemon=True,
+                             args=(worker_end, model, features, labels, tau))
     worker.start()
     worker_end.close()
     deviations = []
-    in_flight = 0
+    owed = collections.deque()    # steps the worker scores, in send order
+    worker_error = None
 
     def worker_died():
         worker.join()
@@ -512,30 +522,43 @@ def _deviations_in_worker(model: MlpModel, split: SplitDataset,
             f"probe worker exited with code {worker.exitcode}")
 
     def receive():
-        nonlocal in_flight
+        nonlocal worker_error
         try:
             result = pipe.recv()
         except (EOFError, OSError):
             raise worker_died() from None
-        in_flight -= 1
+        slot = owed.popleft()
         if isinstance(result, Exception):
+            worker_error = result
             raise result
-        deviations.append(result)
+        deviations[slot] = result
 
-    def send(model, epoch, step, idx):
-        nonlocal in_flight
-        if in_flight == _PROBE_WINDOW:
+    def probe(model, epoch, step, idx):
+        if step % _PROBE_IN_TRAINING_EVERY == 0:
+            deviations.append(
+                _probe_deviation(model, features, labels, idx, tau))
+            return
+        if len(owed) == _PROBE_WINDOW:
             receive()
         try:
             pipe.send_bytes(model.flat)
             pipe.send_bytes(idx)
         except OSError:
             raise worker_died() from None
-        in_flight += 1
+        owed.append(len(deviations))
+        deviations.append(None)
 
     try:
-        train(model, split, config, step_callback=send)
-        while in_flight:
+        try:
+            train(model, split, config, step_callback=probe)
+        except Exception as exc:
+            # the steps the worker owes all came before this failure, so
+            # the first probe error among them is the one inline raises
+            if exc is not worker_error:
+                while owed:
+                    receive()
+            raise
+        while owed:
             receive()
     finally:
         try:
