@@ -17,13 +17,15 @@ single-model command.
 Artifacts written to --out contain no wall-clock fields, so identical
 specs produce byte-identical files; timing goes to stderr and to the
 optional --report file.  --out, --report and --checkpoint files are
-checked before any work starts and replaced atomically.
+checked before any work starts and replaced atomically; one that
+resolves to a file the command reads, or to another output, is refused.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import os
 import sys
 from typing import NamedTuple
 
@@ -243,6 +245,21 @@ def _evaluate_checkpoint(spec: ExperimentSpec,
                             loss.beta)
 
 
+def _check_outputs(args, spec: ExperimentSpec, command: Command) -> None:
+    """Refuse an unwritable output, or one naming an input or other output."""
+    reads = [("config", args.config), ("dataset", spec.dataset.path),
+             *((flag, getattr(args, flag)) for flag in command.reads)]
+    claimed = {os.path.realpath(path): flag for flag, path in reads if path}
+    for flag in ("out", *command.writes):
+        path = spec.out if flag == "out" else getattr(args, flag)
+        if path:
+            real = check_writable(path)
+            if real in claimed:
+                raise ValueError(f"--{flag} and --{claimed[real]} name the "
+                                 f"same file {real}")
+            claimed[real] = flag
+
+
 def main(argv=None) -> int:
     try:
         args, extra = build_parser().parse_known_args(argv)
@@ -257,9 +274,7 @@ def main(argv=None) -> int:
     command = COMMANDS[args.command]
     try:
         spec = build_spec(args)
-        for path in (spec.out, *(getattr(args, f) for f in command.writes)):
-            if path:
-                check_writable(path)
+        _check_outputs(args, spec, command)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

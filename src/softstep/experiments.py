@@ -6,10 +6,9 @@ derived from the master seed, each trial reseeds as ``seed + trial_index``
 a flat table that serializes byte-identically for identical specs.  A
 failed cell becomes an explicit error row instead of aborting siblings.
 
-The batch sweep's per-step probe only reads the weights and never feeds
-back into training, so where the process can fork (see _probe_can_fork)
-a worker process scores most steps beside training, with the same
-results as inline.
+The batch sweep's per-step probe only reads the weights, so where the
+process can fork (see _probe_can_fork) a worker process scores most
+steps beside training, with the same results as without it.
 """
 
 from __future__ import annotations
@@ -223,11 +222,13 @@ class ExperimentSpec:
             raise ValueError(f"unknown format {self.format!r}")
         check_dropout(self.dropout)
         # every other field is checked by the configs the runners build
-        _, loss = loss_config_for(self, "f_beta", self.approximation)
-        for token in self.losses:
-            loss_config_for(self, token, self.approximation)
-        for beta in self.betas:
-            loss_config_for(self, "f_beta", self.approximation, beta)
+        for approximation in (APPROXIMATIONS
+                              if self.command == "sigmoid-compare"
+                              else (self.approximation,)):
+            for token in ("f_beta", *self.losses):
+                _, loss = loss_config_for(self, token, approximation)
+            for beta in self.betas:
+                loss_config_for(self, "f_beta", approximation, beta)
         for batch_size in (self.batch_size, *self.batch_sizes):
             train_config_for(self, loss, self.seed, batch_size)
 
@@ -446,19 +447,77 @@ def run_batch_sweep(spec: ExperimentSpec) -> ResultTable:
 
 def _batch_deviations(spec: ExperimentSpec, split: SplitDataset,
                       loss: LossConfig, batch_size: int) -> list[float]:
+    """Train one model and score each step's probe, in step order.
+
+    One step callback scores a step in this process when no worker was
+    forked (see _probe_can_fork) or the step is a multiple of
+    _PROBE_IN_TRAINING_EVERY.  Otherwise the weights and the batch's row
+    indices go down a pipe, and the worker scores the step while training
+    takes the next; it owes at most _PROBE_WINDOW steps.  They are
+    collected in order after training or its failure, so the earliest
+    step's error is raised, as with no worker.
+    """
     model = trial_model(spec, split.train.dims, spec.seed)
     config = train_config_for(spec, loss, spec.seed, batch_size)
+    features, labels, tau = split.train.features, split.train.labels, spec.tau
+    deviations = []
+    owed = collections.deque()    # steps the worker scores, in send order
+    worker = None
     if _probe_can_fork():
-        deviations = _deviations_in_worker(model, split, config, spec.tau)
-    else:
-        deviations = []
+        import multiprocessing
+        context = multiprocessing.get_context("fork")
+        pipe, worker_end = context.Pipe()
+        worker = context.Process(target=_probe_worker, daemon=True,
+                                 args=(worker_end, model, features, labels,
+                                       tau))
+        worker.start()
+        worker_end.close()
 
-        def record(model, epoch, step, idx):
-            deviations.append(_probe_deviation(
-                model, split.train.features, split.train.labels, idx,
-                spec.tau))
+    def worker_died():
+        owed.clear()
+        worker.join()
+        return RuntimeError(
+            f"probe worker exited with code {worker.exitcode}")
 
-        train(model, split, config, step_callback=record)
+    def receive():
+        try:
+            result = pipe.recv()
+        except (EOFError, OSError):
+            raise worker_died() from None
+        if isinstance(result, Exception):
+            owed.clear()    # every step still owed is later than this one
+            raise result
+        deviations[owed.popleft()] = result
+
+    def probe(model, epoch, step, idx):
+        if worker is None or step % _PROBE_IN_TRAINING_EVERY == 0:
+            deviations.append(
+                _probe_deviation(model, features, labels, idx, tau))
+            return
+        if len(owed) == _PROBE_WINDOW:
+            receive()
+        try:
+            pipe.send_bytes(model.flat)
+            pipe.send_bytes(idx)
+        except OSError:
+            raise worker_died() from None
+        owed.append(len(deviations))
+        deviations.append(None)
+
+    try:
+        try:
+            train(model, split, config, step_callback=probe)
+        finally:
+            while owed:
+                receive()
+    finally:
+        if worker is not None:
+            try:
+                pipe.send_bytes(b"")
+            except OSError:
+                pass
+            worker.join()
+            pipe.close()
     if not deviations:
         raise RuntimeError("no optimizer steps ran")
     return deviations
@@ -490,84 +549,6 @@ def _probe_can_fork() -> bool:
     except OSError:
         return False
     return threads == 1 and len(os.sched_getaffinity(0)) >= 2
-
-
-def _deviations_in_worker(model: MlpModel, split: SplitDataset,
-                          config: TrainConfig, tau: float) -> list[float]:
-    """Train in this process; probe most steps in a forked worker.
-
-    This process scores every _PROBE_IN_TRAINING_EVERY-th step itself.
-    After each other step the weights and the batch's row indices go down
-    a pipe, and the worker scores that step while training takes the next.
-    Which process scores a step depends only on the step, never on timing,
-    and deviations are kept in step order.  The worker owes at most
-    _PROBE_WINDOW steps, and never outlives this call.
-    """
-    import multiprocessing
-
-    features, labels = split.train.features, split.train.labels
-    context = multiprocessing.get_context("fork")
-    pipe, worker_end = context.Pipe()
-    worker = context.Process(target=_probe_worker, daemon=True,
-                             args=(worker_end, model, features, labels, tau))
-    worker.start()
-    worker_end.close()
-    deviations = []
-    owed = collections.deque()    # steps the worker scores, in send order
-    worker_error = None
-
-    def worker_died():
-        worker.join()
-        return RuntimeError(
-            f"probe worker exited with code {worker.exitcode}")
-
-    def receive():
-        nonlocal worker_error
-        try:
-            result = pipe.recv()
-        except (EOFError, OSError):
-            raise worker_died() from None
-        slot = owed.popleft()
-        if isinstance(result, Exception):
-            worker_error = result
-            raise result
-        deviations[slot] = result
-
-    def probe(model, epoch, step, idx):
-        if step % _PROBE_IN_TRAINING_EVERY == 0:
-            deviations.append(
-                _probe_deviation(model, features, labels, idx, tau))
-            return
-        if len(owed) == _PROBE_WINDOW:
-            receive()
-        try:
-            pipe.send_bytes(model.flat)
-            pipe.send_bytes(idx)
-        except OSError:
-            raise worker_died() from None
-        owed.append(len(deviations))
-        deviations.append(None)
-
-    try:
-        try:
-            train(model, split, config, step_callback=probe)
-        except Exception as exc:
-            # the steps the worker owes all came before this failure, so
-            # the first probe error among them is the one inline raises
-            if exc is not worker_error:
-                while owed:
-                    receive()
-            raise
-        while owed:
-            receive()
-    finally:
-        try:
-            pipe.send_bytes(b"")
-        except OSError:
-            pass
-        worker.join()
-        pipe.close()
-    return deviations
 
 
 def _probe_worker(pipe, model: MlpModel, features, labels,

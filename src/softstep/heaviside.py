@@ -26,8 +26,8 @@ FIT_MAX_ITER = 100
 FIT_TOL = 1e-10
 
 
-class SigmoidFitError(RuntimeError):
-    """Least-squares logistic fit could not reduce its residual."""
+class SigmoidFitError(ValueError):
+    """The logistic fit could not reduce its residual: a bad tau or delta."""
 
 
 class UnknownThresholdError(KeyError):
@@ -76,7 +76,9 @@ class HeavisideParams:
         object.__setattr__(self, "kink_high", kink_high)
         object.__setattr__(self, "slope_low", self.delta / kink_low)
         object.__setattr__(self, "slope_mid", (1.0 - 2.0 * self.delta) / mid_width)
-        object.__setattr__(self, "slope_high", self.delta / (1.0 - kink_high))
+        # near 1 the upper kink rounds to 1, and its slope is infinite
+        object.__setattr__(self, "slope_high", self.delta / (1.0 - kink_high)
+                           if kink_high < 1.0 else np.inf)
         for name in ("slope_low", "slope_mid", "slope_high"):
             slope = getattr(self, name)
             if not (np.isfinite(slope) and slope > 0.0):
@@ -284,8 +286,12 @@ def fit_sigmoid(params: HeavisideParams) -> SigmoidFit:
     """
     grid = np.linspace(0.0, 1.0, 200)
     target = heaviside_approx(grid, params)
-    k, center, residual = _fit_logistic(
-        grid, target, 4.0 * params.slope_mid, params.tau)
+    try:
+        k, center, residual = _fit_logistic(
+            grid, target, 4.0 * params.slope_mid, params.tau)
+    except SigmoidFitError as exc:
+        raise SigmoidFitError(f"no logistic fit at tau {params.tau}, delta "
+                              f"{params.delta}: {exc}") from None
     return SigmoidFit(k=k, tau=center, residual=residual)
 
 

@@ -76,24 +76,18 @@ class LossConfig:
         if self.objective not in OBJECTIVES:
             raise ValueError(f"objective must be one of {OBJECTIVES}, "
                              f"got {self.objective!r}")
-        if self.approximation not in APPROXIMATIONS:
-            raise ValueError(f"approximation must be one of {APPROXIMATIONS}, "
-                             f"got {self.approximation!r}")
         if not self.beta > 0.0:
             raise ValueError(f"beta must be positive, got {self.beta}")
         if self.beta > BETA_MAX:
             raise ValueError(f"beta must be at most {BETA_MAX:.3g}, or the "
                              f"F-beta loss gradient can overflow, got beta "
                              f"{self.beta}")
-        if not 0.0 < self.tau_train < 1.0:
-            raise ValueError(f"tau_train must lie in (0,1), got {self.tau_train}")
         if not self.tau_grid:
             raise ValueError("tau_grid must not be empty")
-        for tau in self.tau_grid:
-            if not 0.0 < tau < 1.0:
-                raise ValueError(f"tau_grid entries must lie in (0,1), got {tau}")
-        if not 0.0 < self.delta < 0.5:
-            raise ValueError(f"delta must lie in (0, 0.5), got {self.delta}")
+        # the losses' surrogates, built once: HeavisideParams' rules, the
+        # family check and any fit refuse a bad setting before training
+        for taus in ((self.tau_train,), self.tau_grid):
+            cached_stack(self.approximation, tuple(taus), self.delta)
 
 
 def _guarded(name, num, den, tau=None):

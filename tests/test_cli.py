@@ -554,3 +554,73 @@ def test_blas_threads_do_not_change_the_tables(tmp_path):
     for command in runs:
         assert tables[command, "1"] == tables[command, "2"]
         assert b"\terror" not in tables[command, "1"]
+
+
+# -------------------------------------------- refusals before any training
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["train", "--tau", "1e-310"],
+     "slope_low must be positive and finite, got inf"),
+    (["train", "--approximation", "sigmoid_fit", "--tau", "0.0005"],
+     "no logistic fit at tau 0.0005, delta 0.1: normal equations are "
+     "singular"),
+    (["loss-grid", "--tau-grid", "0.5,1e-310", "--loss", "f_1,auroc",
+      *ONE_TRIAL], "slope_low must be positive and finite, got inf"),
+    (["sigmoid-compare", "--tau", "0.0005", *ONE_TRIAL],
+     "no logistic fit at tau 0.0005, delta 0.1: normal equations are "
+     "singular"),
+])
+def test_threshold_no_surrogate_can_take_is_refused_before_training(
+        tmp_path, capsys, runners_unreached, argv, message):
+    # a spec error, not a failure inside the run: no type name, no table
+    out = tmp_path / "out.tsv"
+    assert main([*argv, "--dataset", TOY_DATA, *FAST,
+                 "--out", str(out)]) == 1
+    assert f"error: {message}\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.fixture
+def inputs(tmp_path, monkeypatch):
+    """A CSV, a config file and a checkpoint in the working directory."""
+    monkeypatch.chdir(tmp_path)
+    Path("d.csv").write_text("x,y,label\n" + "".join(
+        f"{i % 7},{i % 11},{'pos' if i % 3 else 'neg'}\n"
+        for i in range(120)))
+    Path("c.ini").write_text("[DEFAULT]\nseed = 5\n")
+    Path("link.csv").symlink_to("d.csv")
+    assert main(["train", "--dataset", TOY_DATA, *FAST,
+                 "--checkpoint", "m.ckpt"]) == 0
+    return {name: Path(name).read_bytes()
+            for name in ("d.csv", "c.ini", "m.ckpt")}
+
+
+CSV = ["--dataset", "d.csv", "--label-column", "label",
+       "--positive-value", "pos"]
+BLOBS = ["--dataset", TOY_DATA]
+
+
+@pytest.mark.parametrize("argv, flags, path", [
+    (["train", *CSV, "--out", "d.csv"], ("--out", "--dataset"), "d.csv"),
+    (["train", *CSV, "--out", "link.csv"], ("--out", "--dataset"), "d.csv"),
+    (["loss-grid", *BLOBS, "--config", "c.ini", "--out", "c.ini"],
+     ("--out", "--config"), "c.ini"),
+    (["evaluate", *BLOBS, "--checkpoint", "m.ckpt", "--out", "m.ckpt"],
+     ("--out", "--checkpoint"), "m.ckpt"),
+    (["train", *BLOBS, "--checkpoint", "x", "--out", "x"],
+     ("--checkpoint", "--out"), "x"),
+    (["train", *BLOBS, "--out", "x", "--report", "x"],
+     ("--report", "--out"), "x"),
+    (["train", *BLOBS, "--checkpoint", "x", "--report", "./x"],
+     ("--report", "--checkpoint"), "x"),
+])
+def test_output_naming_an_input_or_another_output_is_refused(
+        inputs, capsys, argv, flags, path):
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: {flags[0]} and {flags[1]} name the same file "
+        f"{os.path.realpath(path)}\n")
+    assert {name: Path(name).read_bytes() for name in inputs} == inputs
+    assert sorted(os.listdir()) == ["c.ini", "d.csv", "link.csv", "m.ckpt"]

@@ -18,10 +18,12 @@ from softstep.heaviside import (
 )
 from softstep.metrics import (
     APPROXIMATIONS,
+    BETA_MAX,
     LossConfig,
     accuracy_loss,
     auroc_soft_loss,
     fbeta_loss,
+    objective_loss,
 )
 
 FD_STEP = 1e-6
@@ -180,3 +182,47 @@ def test_auroc_gradient(batch, taus, delta, family):
     fpr = np.sort(counts[:, 1] / (counts[:, 1] + counts[:, 3]))
     assume(np.all(np.diff(fpr) > 1e-3))
     assert_gradient_matches_differences(auroc_soft_loss, batch, config)
+
+
+# thresholds anywhere in (0, 1), one draw in three near 0 (subnormals
+# too) or near 1; a grid holds at most one such draw, so that about a
+# quarter of the configs construct
+edge_taus = st.one_of(
+    st.floats(0.0, 1e-3, exclude_min=True),
+    st.floats(1.0 - 1e-3, 1.0, exclude_max=True),
+    st.sampled_from([5e-324, 1e-310, 2.0 ** -1022, 1.0 - 2.0 ** -53]))
+open_taus = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+any_taus = st.one_of(open_taus, open_taus, edge_taus)
+any_grids = st.tuples(any_taus, st.lists(open_taus, max_size=2)).map(
+    lambda drawn: (drawn[0], *drawn[1]))
+any_deltas = st.one_of(deltas,
+                       st.floats(0.0, 0.5, exclude_min=True, exclude_max=True))
+
+
+@settings(max_examples=300, deadline=None)
+@given(batches(max_size=16, both_classes=True),
+       st.sampled_from(["f_beta", "accuracy", "auroc"]),
+       st.floats(0.0, BETA_MAX, exclude_min=True), any_taus, any_grids,
+       any_deltas, families)
+# a subnormal threshold passes a (0, 1) range check, but its lower
+# segment's slope is infinite; just below 1 the upper kink rounds to 1;
+# the logistic fit fails at 5e-4
+@example(LabeledBatch(np.array([0.2, 0.7]), np.array([1.0, 0.0])),
+         "f_beta", 1.0, 1e-310, (0.5,), 0.1, "piecewise")
+@example(LabeledBatch(np.array([0.2, 0.7]), np.array([1.0, 0.0])),
+         "accuracy", 1.0, 1.0 - 2.0 ** -53, (0.5,), 0.1, "piecewise")
+@example(LabeledBatch(np.array([0.2, 0.7]), np.array([1.0, 0.0])),
+         "auroc", 1.0, 0.5, (0.5, 1e-310), 0.1, "piecewise")
+@example(LabeledBatch(np.array([0.2, 0.7]), np.array([1.0, 0.0])),
+         "accuracy", 1.0, 5e-4, (0.5,), 0.1, "sigmoid_fit")
+def test_every_loss_config_that_constructs_evaluates_its_loss(
+        batch, objective, beta, tau, grid, delta, family):
+    # extreme thresholds overflow in branches and fit steps left unused
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            config = LossConfig(objective=objective, beta=beta,
+                                tau_train=tau, tau_grid=grid, delta=delta,
+                                approximation=family)
+        except ValueError:
+            return    # the property holds for the configs that construct
+        objective_loss(batch, config)
