@@ -29,10 +29,16 @@ import os
 import sys
 from typing import NamedTuple
 
+# BLAS on one thread unless the environment names a count, set before
+# softstep imports numpy: a process with a BLAS thread cannot fork
+# batch-sweep's probe worker, and layers at most 32 wide gain nothing
+for _variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                  "MKL_NUM_THREADS"):
+    os.environ.setdefault(_variable, "1")
+
 from softstep.data import check_writable, write_atomic
 from softstep.experiments import (
     ExperimentSpec,
-    loss_config_for,
     parse_dataset_source,
     prepared_split,
     run_batch_sweep,
@@ -223,7 +229,7 @@ def build_spec(args) -> ExperimentSpec:
 def _train_single(spec: ExperimentSpec, checkpoint: str | None = None,
                   report: str | None = None) -> TrainReport:
     split = prepared_split(spec)
-    label, loss = loss_config_for(spec, spec.losses[0], spec.approximation)
+    label, loss = spec.cells[0]
     model = trial_model(spec, split.train.dims, spec.seed)
     result = train(model, split, train_config_for(spec, loss, spec.seed))
     if checkpoint:
@@ -240,7 +246,7 @@ def _train_single(spec: ExperimentSpec, checkpoint: str | None = None,
 def _evaluate_checkpoint(spec: ExperimentSpec,
                          checkpoint: str) -> MetricTable:
     model = load_checkpoint(checkpoint)
-    _, loss = loss_config_for(spec, spec.losses[0], spec.approximation)
+    _, loss = spec.cells[0]
     return score_test_split(model, prepared_split(spec), loss.tau_grid,
                             loss.beta)
 

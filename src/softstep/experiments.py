@@ -18,6 +18,7 @@ import os
 import re
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -221,16 +222,25 @@ class ExperimentSpec:
         if self.format not in FORMATS:
             raise ValueError(f"unknown format {self.format!r}")
         check_dropout(self.dropout)
-        # every other field is checked by the configs the runners build
-        for approximation in (APPROXIMATIONS
-                              if self.command == "sigmoid-compare"
-                              else (self.approximation,)):
-            for token in ("f_beta", *self.losses):
-                _, loss = loss_config_for(self, token, approximation)
-            for beta in self.betas:
-                loss_config_for(self, "f_beta", approximation, beta)
+        # every other field is checked by building the configs it feeds
         for batch_size in (self.batch_size, *self.batch_sizes):
-            train_config_for(self, loss, self.seed, batch_size)
+            train_config_for(self, self.cells[0][1], self.seed, batch_size)
+
+    @cached_property
+    def cells(self) -> tuple[tuple[str, LossConfig], ...]:
+        """The (row label, LossConfig) pairs the command trains, in order."""
+        families = (APPROXIMATIONS if self.command == "sigmoid-compare"
+                    else (self.approximation,))
+        # beta, each of betas and each loss token first, also where no
+        # cell reads them, so any command names the same bad setting
+        for token in ("f_beta", *self.losses):
+            loss_config_for(self, token, families[0])
+        by_beta = tuple(loss_config_for(self, "f_beta", families[0], beta)
+                        for beta in self.betas)
+        if self.command == "fbeta-sweep":
+            return by_beta
+        return tuple(loss_config_for(self, token, family)
+                     for token in self.losses for family in families)
 
 
 # --------------------------------------------------------------- result rows
@@ -377,47 +387,36 @@ def prepared_split(spec: ExperimentSpec) -> SplitDataset:
 # -------------------------------------------------------------- the runners
 
 
-def _run_table(spec: ExperimentSpec, experiment: str, cells,
-               metrics: tuple[str, ...]) -> ResultTable:
-    """Train each (row label, LossConfig) cell over spec.trials.
+def _run_table(spec: ExperimentSpec, metrics: tuple[str, ...]) -> ResultTable:
+    """Train each of spec.cells over spec.trials.
 
     A cell that fails becomes an error row; the cells after it still run.
     """
     split = prepared_split(spec)
     rows = []
-    for label, loss in cells:
+    for label, loss in spec.cells:
         try:
-            rows.extend(_metric_rows(experiment, label, loss.approximation,
+            rows.extend(_metric_rows(spec.command, label, loss.approximation,
                                      _run_cell(spec, split, loss), metrics))
         except Exception as exc:
-            rows.append(_error_row(experiment, label, loss.approximation,
+            rows.append(_error_row(spec.command, label, loss.approximation,
                                    exc))
     return ResultTable(rows=tuple(rows))
 
 
 def run_loss_grid(spec: ExperimentSpec) -> ResultTable:
     """Per training loss: accuracy/F1/AUROC on the test split over trials."""
-    return _run_table(spec, "loss-grid",
-                      [loss_config_for(spec, token, spec.approximation)
-                       for token in spec.losses],
-                      ("accuracy", "f_1", "auroc"))
+    return _run_table(spec, ("accuracy", "f_1", "auroc"))
 
 
 def run_fbeta_sweep(spec: ExperimentSpec) -> ResultTable:
     """Train at each beta; report F1, precision, recall of the result."""
-    return _run_table(spec, "fbeta-sweep",
-                      [loss_config_for(spec, "f_beta", spec.approximation,
-                                       beta) for beta in spec.betas],
-                      ("f_1", "precision", "recall"))
+    return _run_table(spec, ("f_1", "precision", "recall"))
 
 
 def run_sigmoid_compare(spec: ExperimentSpec) -> ResultTable:
     """Same losses trained under both approximation families."""
-    return _run_table(spec, "sigmoid-compare",
-                      [loss_config_for(spec, token, approximation)
-                       for token in spec.losses
-                       for approximation in APPROXIMATIONS],
-                      ("accuracy", "f_1"))
+    return _run_table(spec, ("accuracy", "f_1"))
 
 
 def run_batch_sweep(spec: ExperimentSpec) -> ResultTable:
@@ -427,7 +426,7 @@ def run_batch_sweep(spec: ExperimentSpec) -> ResultTable:
     moving part is how the (identical) epoch permutation is sliced.
     """
     split = prepared_split(spec)
-    label, loss = loss_config_for(spec, spec.losses[0], spec.approximation)
+    label, loss = spec.cells[0]
     rows = []
     for batch_size in spec.batch_sizes:
         try:

@@ -235,16 +235,17 @@ def _logistic_sse(grid, target, k, center):
 def _fit_logistic(grid, target, k0, center0):
     """Gauss-Newton with step halving on (k, center).
 
-    Raises SigmoidFitError when the residual is or becomes non-finite, or
-    the normal equations degenerate, i.e. the iteration cannot reduce the
-    residual. Stopping with residual improvement below ``FIT_TOL`` counts
-    as convergence.
+    Raises SigmoidFitError when the residual is or becomes non-finite, the
+    normal equations degenerate, or no halved step of the first iteration
+    lowers the residual, i.e. the iteration cannot reduce the residual.
+    Stopping with residual improvement below ``FIT_TOL`` counts as
+    convergence.
     """
     k, center = float(k0), float(center0)
     residual = _logistic_sse(grid, target, k, center)
     if not np.isfinite(residual):
         raise SigmoidFitError("initial residual is not finite")
-    for _ in range(FIT_MAX_ITER):
+    for iteration in range(FIT_MAX_ITER):
         s = logistic(k * (grid - center))
         ds = s * (1.0 - s)
         r = s - target
@@ -269,6 +270,8 @@ def _fit_logistic(grid, target, k0, center0):
                     break
             scale /= 2.0
         if improved is None:
+            if iteration == 0:
+                raise SigmoidFitError("no step lowers the starting residual")
             break
         gain = residual - improved[2]
         k, center, residual = improved
@@ -282,7 +285,9 @@ def fit_sigmoid(params: HeavisideParams) -> SigmoidFit:
 
     The fit runs over 200 evenly spaced p values, started from center =
     tau and k = 4 * slope_mid (the logistic's central slope is k/4, so
-    this matches middle-segment slopes).
+    this matches middle-segment slopes).  Near the ends of (0, 1) that
+    start can be too steep to improve on; the fit then starts once more
+    from k = slope_mid, and fails with the first start's error.
     """
     grid = np.linspace(0.0, 1.0, 200)
     target = heaviside_approx(grid, params)
@@ -290,8 +295,13 @@ def fit_sigmoid(params: HeavisideParams) -> SigmoidFit:
         k, center, residual = _fit_logistic(
             grid, target, 4.0 * params.slope_mid, params.tau)
     except SigmoidFitError as exc:
-        raise SigmoidFitError(f"no logistic fit at tau {params.tau}, delta "
-                              f"{params.delta}: {exc}") from None
+        try:
+            k, center, residual = _fit_logistic(
+                grid, target, params.slope_mid, params.tau)
+        except SigmoidFitError:
+            raise SigmoidFitError(
+                f"no logistic fit at tau {params.tau}, delta "
+                f"{params.delta}: {exc}") from None
     return SigmoidFit(k=k, tau=center, residual=residual)
 
 

@@ -84,10 +84,13 @@ class LossConfig:
                              f"{self.beta}")
         if not self.tau_grid:
             raise ValueError("tau_grid must not be empty")
-        # the losses' surrogates, built once: HeavisideParams' rules, the
-        # family check and any fit refuse a bad setting before training
-        for taus in ((self.tau_train,), self.tau_grid):
-            cached_stack(self.approximation, tuple(taus), self.delta)
+        # the losses' surrogates, built once and kept as train_stack and
+        # grid_stack (outside equality, hashing and repr): HeavisideParams'
+        # rules, the family check and any fit refuse a bad setting here
+        for name, taus in (("train_stack", (self.tau_train,)),
+                           ("grid_stack", self.tau_grid)):
+            object.__setattr__(self, name, cached_stack(
+                self.approximation, tuple(taus), self.delta))
 
 
 def _guarded(name, num, den, tau=None):
@@ -119,14 +122,9 @@ def f_beta(counts, beta: float = 1.0, tau=None) -> MetricValue:
     return _guarded(f"f_{beta:g}", num, den, tau)
 
 
-def _soft_confusion(batch, config, taus):
-    stack = cached_stack(config.approximation, tuple(taus), config.delta)
-    return soft_confusion(batch, stack)
-
-
 def fbeta_loss(batch: LabeledBatch, config: LossConfig):
     """1 - soft F-beta at ``config.tau_train`` and its gradient."""
-    soft = _soft_confusion(batch, config, (config.tau_train,))
+    soft = soft_confusion(batch, config.train_stack)
     tp, fp, fn, _ = soft.counts.T
     b2 = config.beta * config.beta
     den = (1.0 + b2) * tp + b2 * fn + fp + EPSILON
@@ -139,7 +137,7 @@ def fbeta_loss(batch: LabeledBatch, config: LossConfig):
 
 def accuracy_loss(batch: LabeledBatch, config: LossConfig):
     """1 - soft accuracy at ``config.tau_train`` and its gradient."""
-    soft = _soft_confusion(batch, config, (config.tau_train,))
+    soft = soft_confusion(batch, config.train_stack)
     tp, fp, fn, tn = soft.counts.T
     correct = tp + tn
     den = correct + fp + fn + EPSILON
@@ -168,7 +166,7 @@ def auroc_soft_loss(batch: LabeledBatch, config: LossConfig):
     the predictions.
     """
     _require_both_classes(batch)
-    soft = _soft_confusion(batch, config, config.tau_grid)
+    soft = soft_confusion(batch, config.grid_stack)
     tp, fp, fn, tn = soft.counts.T
     fpr_den = fp + tn + EPSILON
     tpr_den = tp + fn + EPSILON

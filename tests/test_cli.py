@@ -562,13 +562,13 @@ def test_blas_threads_do_not_change_the_tables(tmp_path):
 @pytest.mark.parametrize("argv, message", [
     (["train", "--tau", "1e-310"],
      "slope_low must be positive and finite, got inf"),
-    (["train", "--approximation", "sigmoid_fit", "--tau", "0.0005"],
-     "no logistic fit at tau 0.0005, delta 0.1: normal equations are "
+    (["train", "--approximation", "sigmoid_fit", "--tau", "0.0002"],
+     "no logistic fit at tau 0.0002, delta 0.1: normal equations are "
      "singular"),
     (["loss-grid", "--tau-grid", "0.5,1e-310", "--loss", "f_1,auroc",
       *ONE_TRIAL], "slope_low must be positive and finite, got inf"),
-    (["sigmoid-compare", "--tau", "0.0005", *ONE_TRIAL],
-     "no logistic fit at tau 0.0005, delta 0.1: normal equations are "
+    (["sigmoid-compare", "--tau", "0.0002", *ONE_TRIAL],
+     "no logistic fit at tau 0.0002, delta 0.1: normal equations are "
      "singular"),
 ])
 def test_threshold_no_surrogate_can_take_is_refused_before_training(
@@ -579,6 +579,54 @@ def test_threshold_no_surrogate_can_take_is_refused_before_training(
                  "--out", str(out)]) == 1
     assert f"error: {message}\n" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("tau", ["0.0005", "0.9996"])
+def test_sigmoid_fit_trains_where_its_steep_start_cannot_fit(tmp_path, tau):
+    # the logistic fit starts again from a gentler slope at these tau
+    out = tmp_path / "out.tsv"
+    assert main(["train", "--approximation", "sigmoid_fit", "--tau", tau,
+                 "--dataset", TOY_DATA, *FAST, "--out", str(out)]) == 0
+    assert out.read_text().startswith("metric\ttau\tvalue\tdefined\n")
+
+
+def test_batch_sweep_with_no_optimizer_step_writes_an_error_row(
+        tmp_path, capsys):
+    # a one-row batch holds one class, so the auroc loss skips every step
+    out = tmp_path / "sweep.tsv"
+    assert main(["batch-sweep", "--dataset", TOY_DATA, "--loss", "auroc",
+                 "--batch-size", "1", "--epochs", "2", "--window", "2",
+                 "--out", str(out)]) == 2
+    assert out.read_text().splitlines()[1].endswith(
+        "\terror: RuntimeError: no optimizer steps ran")
+    assert "some cells failed" in capsys.readouterr().err
+
+
+_BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                   "MKL_NUM_THREADS")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task")
+                    or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs /proc/self/task and two usable CPUs")
+@pytest.mark.parametrize("openblas", [None, "2"])
+def test_cli_runs_blas_on_one_thread_unless_told_otherwise(openblas):
+    src = str(Path(softstep.cli.__file__).resolve().parents[1])
+    env = {key: value for key, value in os.environ.items()
+           if key not in _BLAS_VARIABLES}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))
+    if openblas:
+        env["OPENBLAS_NUM_THREADS"] = openblas
+    code = ("import os, softstep.cli, softstep.experiments as e; "
+            "print(len(os.listdir('/proc/self/task')), e._probe_can_fork(), "
+            "*(os.environ[v] for v in %r))" % (_BLAS_VARIABLES,))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    threads, can_fork, *values = done.stdout.split()
+    assert values == [openblas or "1", "1", "1"]
+    if not openblas:
+        assert (threads, can_fork) == ("1", "True")
 
 
 @pytest.fixture

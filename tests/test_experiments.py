@@ -102,6 +102,16 @@ def test_dataset_source_validation():
         DatasetSource(kind="csv", path="x.csv")
 
 
+@pytest.mark.parametrize("fields, message", [
+    (dict(dims=0), "dims must be >= 1"),
+    (dict(kind="csv", label_column="y", positive_value="1"),
+     "csv source needs a path"),
+])
+def test_dataset_source_refusal_messages(fields, message):
+    with pytest.raises(ValueError, match=message):
+        DatasetSource(**fields)
+
+
 def test_realize_dataset_blobs_and_subsample():
     data = realize_dataset(DatasetSource(n_per_class=100), seed=1)
     assert data.n == 200 and data.n_positive == 100
@@ -176,6 +186,43 @@ def test_spec_rejects_bad_fields(overrides):
     fields = dict(command="loss-grid")
     fields.update(overrides)
     with pytest.raises(ValueError):
+        ExperimentSpec(**fields)
+
+
+def test_spec_cells_are_the_rows_the_command_trains():
+    def cells(**fields):
+        return [(label, loss.beta, loss.approximation)
+                for label, loss in ExperimentSpec(**fields).cells]
+
+    assert cells(command="fbeta-sweep", betas=(0.5, 2.0), losses=("bce",)) \
+        == [("f_0.5", 0.5, "piecewise"), ("f_2", 2.0, "piecewise")]
+    # loss-major, each loss under both families
+    assert cells(command="sigmoid-compare", losses=("accuracy", "f_2")) == [
+        ("accuracy", 1.0, "piecewise"), ("accuracy", 1.0, "sigmoid_fit"),
+        ("f_2", 2.0, "piecewise"), ("f_2", 2.0, "sigmoid_fit")]
+    assert cells(command="loss-grid", losses=("auroc", "f_beta"), beta=3.0,
+                 approximation="sigmoid_fit") == [
+        ("auroc", 3.0, "sigmoid_fit"), ("f_3", 3.0, "sigmoid_fit")]
+
+
+@pytest.mark.parametrize("fields, message", [
+    # beta is checked before the loss tokens, and they before betas
+    (dict(command="loss-grid", beta=0.0, losses=("hinge",)),
+     "beta must be positive, got 0.0"),
+    (dict(command="loss-grid", losses=("hinge",), betas=(-2.0,)),
+     "unknown loss 'hinge'"),
+    (dict(command="loss-grid", betas=(1.0, -2.0)),
+     "beta must be positive, got -2.0"),
+    # an fbeta-sweep trains no loss token, and still checks them
+    (dict(command="fbeta-sweep", losses=("hinge",)), "unknown loss 'hinge'"),
+    # sigmoid-compare checks every token before its sigmoid_fit cells
+    (dict(command="sigmoid-compare", tau=0.0002, losses=("f_1", "hinge")),
+     "unknown loss 'hinge'"),
+    (dict(command="sigmoid-compare", tau=0.0002),
+     "no logistic fit at tau 0.0002"),
+])
+def test_spec_refusal_names_the_first_bad_setting(fields, message):
+    with pytest.raises(ValueError, match=message):
         ExperimentSpec(**fields)
 
 

@@ -9,6 +9,7 @@ from softstep.heaviside import (
     SigmoidFitError,
     UnknownThresholdError,
     _fit_logistic,
+    _logistic_sse,
     build_lookup_table,
     cached_stack,
     fit_sigmoid,
@@ -294,6 +295,22 @@ def test_fit_logistic_rejects_nonfinite_target():
     target = np.full(50, np.nan)
     with pytest.raises(SigmoidFitError):
         _fit_logistic(grid, target, 4.0, 0.5)
+
+
+@pytest.mark.parametrize("tau", [7e-4, 0.9995])
+def test_fit_sigmoid_improves_on_a_start_too_steep_to_improve(tau):
+    # no halved Gauss-Newton step from k = 4 * slope_mid lowers the
+    # residual here, so fit_sigmoid starts again from k = slope_mid
+    params = HeavisideParams(tau, 0.1)
+    grid = np.linspace(0.0, 1.0, 200)
+    target = heaviside_approx(grid, params)
+    steep = 4.0 * params.slope_mid
+    with pytest.raises(SigmoidFitError,
+                       match="no step lowers the starting residual"):
+        _fit_logistic(grid, target, steep, tau)
+    fit = fit_sigmoid(params)
+    assert fit.residual < _logistic_sse(grid, target, steep, tau)
+    assert fit.residual < _logistic_sse(grid, target, params.slope_mid, tau)
 
 
 # ------------------------------------------------------ shared approximation

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from softstep.confusion import HardCounts, LabeledBatch, SoftCounts, aggregate_soft
-from softstep.heaviside import HeavisideParams
+from softstep.heaviside import HeavisideParams, cached_stack
 from softstep.metrics import (
     BETA_MAX,
     EPSILON,
@@ -414,6 +414,16 @@ def test_loss_config_validation():
         LossConfig(delta=0.7)
 
 
+def test_loss_config_keeps_its_stacks_outside_equality_and_repr():
+    config = LossConfig(tau_train=0.3, approximation="sigmoid_fit")
+    assert config.train_stack is cached_stack("sigmoid_fit", (0.3,), 0.1)
+    assert config.grid_stack is cached_stack("sigmoid_fit",
+                                             TAU_GRID_DEFAULT, 0.1)
+    assert "stack" not in repr(config)
+    same = LossConfig(tau_train=0.3, approximation="sigmoid_fit")
+    assert config == same and hash(config) == hash(same)
+
+
 # ----------------------------------------------------------- metric tables
 
 
@@ -435,6 +445,12 @@ def test_evaluate_over_grid_single_tau_mean():
     table = evaluate_over_grid(batch, tau_grid=(0.5,))
     acc_rows = [r for r in table.rows if r.name == "accuracy"]
     assert acc_rows[0].value == acc_rows[1].value
+
+
+def test_evaluate_over_grid_refuses_an_empty_grid():
+    batch = LabeledBatch(np.array([0.2, 0.8]), np.array([0.0, 1.0]))
+    with pytest.raises(ValueError, match="tau_grid must not be empty"):
+        evaluate_over_grid(batch, tau_grid=())
 
 
 def test_evaluate_over_grid_degenerate_predictor():

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+import softstep.training
 from softstep.confusion import LabeledBatch
 from softstep.data import Dataset, generate_blobs, standardize_and_split
 from softstep.metrics import LossConfig, objective_loss
@@ -135,6 +136,30 @@ def test_poisoned_parameters_raise_diverged_error():
 
     with pytest.raises(TrainingDivergedError):
         train(model, split, config, step_callback=poison)
+
+
+@pytest.mark.parametrize("loss, grad", [(np.nan, 0.0), (0.5, np.inf)])
+def test_nonfinite_loss_or_gradient_raises_diverged_error(monkeypatch, loss,
+                                                          grad):
+    split = small_split(seed=7, n_per_class=40)
+    config = TrainConfig(loss=LossConfig(objective="bce"), batch_size=16,
+                         max_epochs=5, window=3, seed=7)
+    monkeypatch.setattr(softstep.training, "objective_loss",
+                        lambda batch, _: (loss, np.full(batch.n, grad)))
+    with pytest.raises(TrainingDivergedError,
+                       match="non-finite loss at epoch 1, step 1"):
+        train(fresh_model(split, config), split, config)
+
+
+def test_nonfinite_validation_loss_raises_diverged_error(monkeypatch):
+    split = small_split(seed=7, n_per_class=40)
+    config = TrainConfig(loss=LossConfig(objective="bce"), batch_size=16,
+                         max_epochs=5, window=3, seed=7)
+    monkeypatch.setattr(softstep.training, "_epoch_validation_loss",
+                        lambda model, split, config: np.nan)
+    with pytest.raises(TrainingDivergedError,
+                       match="non-finite validation loss at epoch 1"):
+        train(fresh_model(split, config), split, config)
 
 
 # ----------------------------------------------------------------- callback
