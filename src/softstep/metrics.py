@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,13 +26,6 @@ EPSILON = 1e-7
 TAU_GRID_DEFAULT = tuple(i / 10 for i in range(1, 10))
 
 FORMATS = ("tsv", "json")
-
-# The largest beta whose F-beta loss gradient cannot overflow.  fbeta_loss
-# squares den = (1 + b2)·tp + b2·fn + fp + EPSILON with b2 = beta², and
-# tp + fn + fp <= n, so den <= 2·(1 + b2)·n with room for EPSILON and
-# rounding.  den² stays finite on any batch of up to 2**53 rows while
-# 1 + b2 <= sqrt(float max) / (2·2**53); beta is about 8.6e68.
-BETA_MAX = math.sqrt(math.sqrt(sys.float_info.max) / 2.0 ** 54 - 1.0)
 
 
 class UndefinedMetricError(ValueError):
@@ -78,10 +70,8 @@ class LossConfig:
                              f"got {self.objective!r}")
         if not self.beta > 0.0:
             raise ValueError(f"beta must be positive, got {self.beta}")
-        if self.beta > BETA_MAX:
-            raise ValueError(f"beta must be at most {BETA_MAX:.3g}, or the "
-                             f"F-beta loss gradient can overflow, got beta "
-                             f"{self.beta}")
+        if math.isinf(self.beta):
+            raise ValueError(f"beta must be finite, got {self.beta}")
         if not self.tau_grid:
             raise ValueError("tau_grid must not be empty")
         # the losses' surrogates, built once and kept as train_stack and
@@ -93,11 +83,10 @@ class LossConfig:
                 self.approximation, tuple(taus), self.delta))
 
 
-def _guarded(name, num, den, tau=None):
-    value = num / (den + EPSILON)
+def _guarded(name, num, den, tau=None, guard=EPSILON):
     if den <= 0.0:
         return MetricValue(name, 0.0, tau=tau, defined=False)
-    return MetricValue(name, float(value), tau=tau)
+    return MetricValue(name, float(num / (den + guard)), tau=tau)
 
 
 def precision(counts, tau=None) -> MetricValue:
@@ -114,24 +103,35 @@ def accuracy(counts, tau=None) -> MetricValue:
     return _guarded("accuracy", num, den, tau)
 
 
+def _fbeta_weights(beta: float):
+    """F-beta's weights w and v on fn and fp, and its guard, for beta > 0.
+
+    F = (1 + β²)·tp / ((1 + β²)·tp + β²·fn + fp) = tp / (tp + w·fn + v·fp)
+    with w = 1 / (1 + β⁻²) and v = 1 / (1 + β²) = 1 - w, formed apart lest
+    it round to 0; the guard EPSILON·v is floored so 1 / den² stays finite.
+    """
+    inv = 1.0 / beta
+    v = 1.0 / (1.0 + beta * beta)
+    return 1.0 / (1.0 + inv * inv), v, max(EPSILON * v, 1e-150)
+
+
 def f_beta(counts, beta: float = 1.0, tau=None) -> MetricValue:
-    """F-beta in count form, equal to the precision/recall harmonic mean."""
-    b2 = beta * beta
-    num = (1.0 + b2) * counts.tp
-    den = (1.0 + b2) * counts.tp + b2 * counts.fn + counts.fp
-    return _guarded(f"f_{beta:g}", num, den, tau)
+    """F-beta, equal to the precision/recall harmonic mean."""
+    w_fn, w_fp, guard = _fbeta_weights(beta)
+    den = counts.tp + w_fn * counts.fn + w_fp * counts.fp
+    return _guarded(f"f_{beta:g}", counts.tp, den, tau, guard)
 
 
 def fbeta_loss(batch: LabeledBatch, config: LossConfig):
     """1 - soft F-beta at ``config.tau_train`` and its gradient."""
     soft = soft_confusion(batch, config.train_stack)
     tp, fp, fn, _ = soft.counts.T
-    b2 = config.beta * config.beta
-    den = (1.0 + b2) * tp + b2 * fn + fp + EPSILON
-    value = (1.0 + b2) * tp / den
-    scale = (1.0 + b2) / den ** 2
-    d_counts = np.array((-(b2 * fn + fp + EPSILON) * scale,
-                         tp * scale, b2 * tp * scale, np.zeros_like(tp))).T
+    w_fn, w_fp, guard = _fbeta_weights(config.beta)
+    den = tp + w_fn * fn + w_fp * fp + guard
+    value = tp / den
+    scale = 1.0 / den ** 2
+    d_counts = np.array((-(w_fn * fn + w_fp * fp + guard) * scale,
+                         w_fp * tp * scale, w_fn * tp * scale, 0.0 * tp)).T
     return 1.0 - float(value[0]), soft.grad(d_counts)
 
 

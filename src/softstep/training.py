@@ -39,6 +39,10 @@ class TrainingDivergedError(RuntimeError):
     """Loss or gradient became non-finite during training."""
 
 
+class TrainingStalledError(RuntimeError):
+    """Optimizer steps ran, but the model predicts exactly as it started."""
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     loss: LossConfig = field(default_factory=LossConfig)
@@ -137,7 +141,8 @@ def train(model: MlpModel, split: SplitDataset, config: TrainConfig,
     step with the batch's row indices into ``split.train``; experiments use
     it to probe batch-level statistics.  An auroc objective on a validation
     split without both classes raises UndefinedMetricError (a ValueError)
-    before the first step.
+    before the first step.  Steps that change no validation prediction
+    raise TrainingStalledError.
     """
     _require_both_validation_classes(split, config)
     started = time.perf_counter()
@@ -147,6 +152,7 @@ def train(model: MlpModel, split: SplitDataset, config: TrainConfig,
     best_val = np.inf
     best_epoch = 0
     best_params = model.flat.copy()
+    initial_preds = forward(model, split.validation.features)
     stale = 0
     skipped = 0
     step = 0
@@ -196,6 +202,15 @@ def train(model: MlpModel, split: SplitDataset, config: TrainConfig,
             if stale >= config.window:
                 break
 
+    if step and np.array_equal(forward(model, split.validation.features),
+                               initial_preds):
+        loss = config.loss
+        tau = (f"tau grid {loss.tau_grid}" if loss.objective == "auroc"
+               else f"tau {loss.tau_train:g}")
+        raise TrainingStalledError(
+            f"{step} optimizer steps changed no validation prediction: "
+            f"objective {loss.objective}, surrogate {loss.approximation}, "
+            f"{tau}")
     model.flat[:] = best_params
     final = score_test_split(model, split, config.loss.tau_grid,
                              config.loss.beta)

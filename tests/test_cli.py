@@ -4,10 +4,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import softstep.cli
 from softstep.cli import COMMANDS, SETTINGS, build_parser, build_spec, main
+from softstep.experiments import prepared_split, trial_model
+from softstep.network import load_checkpoint
 
 TOY_DATA = "blobs:n_per_class=120,sigma=8"
 
@@ -496,24 +499,51 @@ def test_fbeta_sweep_accepts_a_beta_without_a_loss_token(tmp_path):
     ["train", "--loss", "f_beta", "--beta", "inf"],
     ["evaluate", "--loss", "f_beta", "--beta", "inf",
      "--checkpoint", "m.ckpt"],
-    ["fbeta-sweep", "--betas", "1,1e200"],
+    ["fbeta-sweep", "--betas", "1,inf"],
 ])
 def test_beta_whose_square_overflows_is_refused_before_training(
         capsys, runners_unreached, argv):
+    # an infinite beta; any finite one trains, however large its square
     assert main([*argv, "--dataset", TOY_DATA]) == 1
-    assert "error: beta must be at most 8.63e+68, or the F-beta loss " \
-        "gradient can overflow, got beta " in capsys.readouterr().err
+    assert "error: beta must be finite, got inf\n" in capsys.readouterr().err
 
 
-def test_beta_whose_loss_gradient_would_vanish_is_refused(tmp_path, capsys):
-    # beta squared is finite, but the loss's squared denominator is not, so
-    # training would run on a zero gradient and exit 0
-    report = tmp_path / "report.tsv"
+@pytest.mark.parametrize("beta, shown", [("nan", "nan"), ("0", "0.0")])
+def test_beta_that_is_not_positive_is_refused_before_training(
+        capsys, runners_unreached, beta, shown):
+    assert main(["train", "--loss", "f_beta", "--beta", beta,
+                 "--dataset", TOY_DATA]) == 1
+    assert f"error: beta must be positive, got {shown}\n" \
+        in capsys.readouterr().err
+
+
+def test_beta_1e100_trains_and_moves_its_weights(tmp_path):
+    # the count form squared (1 + beta²)·tp to inf here, so every gradient
+    # was exactly 0 and the weights never moved
+    ckpt = tmp_path / "m.ckpt"
     assert main(["train", "--loss", "f_beta", "--beta", "1e100",
                  "--dataset", TOY_DATA, *FAST,
-                 "--report", str(report)]) == 1
-    assert "got beta 1e+100" in capsys.readouterr().err
-    assert not report.exists()
+                 "--checkpoint", str(ckpt)]) == 0
+    spec = build_spec(parse(["train", "--dataset", TOY_DATA, *FAST]))
+    initial = trial_model(spec, prepared_split(spec).train.dims, spec.seed)
+    assert not np.array_equal(load_checkpoint(ckpt).flat, initial.flat)
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--loss", "f_beta", "--beta", "1e200"],
+    ["fbeta-sweep", "--betas", "1,1e200", *ONE_TRIAL],
+])
+def test_beta_1e200_trains_and_scores(tmp_path, argv):
+    out = tmp_path / "out.tsv"
+    assert main([*argv, "--dataset", TOY_DATA, *FAST,
+                 "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    if argv[0] == "train":
+        assert any(line.startswith("f_1e+200\tmean\t") for line in lines)
+    else:
+        assert [line.split("\t")[1] for line in lines[1:]] == \
+            ["f_1"] * 3 + ["f_1e+200"] * 3
+        assert all(line.endswith("\tok") for line in lines[1:])
 
 
 @pytest.mark.parametrize("argv", [["loss-grid", "--out"],
@@ -582,12 +612,42 @@ def test_threshold_no_surrogate_can_take_is_refused_before_training(
 
 
 @pytest.mark.parametrize("tau", ["0.0005", "0.9996"])
-def test_sigmoid_fit_trains_where_its_steep_start_cannot_fit(tmp_path, tau):
-    # the logistic fit starts again from a gentler slope at these tau
+def test_sigmoid_fit_trains_where_its_steep_start_cannot_fit(
+        tmp_path, capsys, tau):
+    # the logistic fit starts again from a gentler slope at these tau, so
+    # the spec builds and training runs; the fitted step is flat at every
+    # prediction the network makes, so no step moves one, and train says so
     out = tmp_path / "out.tsv"
     assert main(["train", "--approximation", "sigmoid_fit", "--tau", tau,
-                 "--dataset", TOY_DATA, *FAST, "--out", str(out)]) == 0
-    assert out.read_text().startswith("metric\ttau\tvalue\tdefined\n")
+                 "--dataset", TOY_DATA, *FAST, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: TrainingStalledError: ")
+    assert err.endswith(f"objective f_beta, surrogate sigmoid_fit, "
+                        f"tau {tau}\n")
+    assert not out.exists()
+
+
+def test_training_whose_updates_round_away_exits_1(tmp_path, capsys):
+    # the validation loss stayed the same in every epoch, and train exited 0
+    report = tmp_path / "report.json"
+    assert main(["train", "--dataset", "blobs:n_per_class=150,sigma=8",
+                 "--lr", "1e-300", "--epochs", "4", "--window", "4",
+                 "--report", str(report)]) == 1
+    assert "error: TrainingStalledError: " in capsys.readouterr().err
+    assert not report.exists()
+
+
+def test_stalled_sigmoid_compare_cell_is_an_error_row(tmp_path):
+    out = tmp_path / "compare.tsv"
+    assert main(["sigmoid-compare", "--dataset", TOY_DATA, "--tau", "0.0005",
+                 "--loss", "f_1", *FAST, *ONE_TRIAL,
+                 "--out", str(out)]) == 2
+    rows = [line.split("\t") for line in out.read_text().splitlines()[1:]]
+    assert [(row[2], row[-1]) for row in rows] == [
+        ("piecewise", "ok"), ("piecewise", "ok"),
+        ("sigmoid_fit", "error: TrainingStalledError: 15 optimizer steps "
+         "changed no validation prediction: objective f_beta, surrogate "
+         "sigmoid_fit, tau 0.0005")]
 
 
 def test_batch_sweep_with_no_optimizer_step_writes_an_error_row(

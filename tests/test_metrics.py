@@ -1,13 +1,24 @@
 import json
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from softstep.confusion import HardCounts, LabeledBatch, SoftCounts, aggregate_soft
+from softstep.confusion import (
+    HardCounts,
+    LabeledBatch,
+    SoftCounts,
+    aggregate_soft,
+    soft_confusion,
+)
 from softstep.heaviside import HeavisideParams, cached_stack
 from softstep.metrics import (
-    BETA_MAX,
+    APPROXIMATIONS,
     EPSILON,
     LossConfig,
     MetricValue,
@@ -182,6 +193,114 @@ def test_metric_losses_stay_in_unit_interval():
                     LossConfig(objective="auroc")):
             loss, _ = objective_loss(batch, cfg)
             assert 0.0 <= loss <= 1.0
+
+
+# ------------------------------------------- f_beta's form for every beta
+
+
+def count_form_fbeta_loss(batch, config):
+    """The loss in count form, (1 + b2)·tp / ((1 + b2)·tp + b2·fn + fp)."""
+    soft = soft_confusion(batch, config.train_stack)
+    tp, fp, fn, _ = soft.counts.T
+    b2 = config.beta * config.beta
+    den = (1.0 + b2) * tp + b2 * fn + fp + EPSILON
+    value = (1.0 + b2) * tp / den
+    scale = (1.0 + b2) / den ** 2
+    d_counts = np.array((-(b2 * fn + fp + EPSILON) * scale,
+                         tp * scale, b2 * tp * scale, np.zeros_like(tp))).T
+    return 1.0 - float(value[0]), soft.grad(d_counts)
+
+
+def count_form_f1(counts):
+    return 2.0 * counts.tp / (2.0 * counts.tp + counts.fn + counts.fp
+                              + EPSILON)
+
+
+# halving a subnormal count can round, so the bit-for-bit check draws none
+normal_predictions = st.floats(0.0, 1.0, allow_subnormal=False)
+labels_01 = st.sampled_from([0.0, 1.0])
+hard_counts = st.builds(HardCounts, *[st.integers(0, 10 ** 6)] * 4)
+surrogates = st.sampled_from(APPROXIMATIONS)
+taus = st.sampled_from((0.3, 0.5, 0.7))
+
+
+@st.composite
+def batches_with_a_positive(draw, predictions=st.floats(0.0, 1.0)):
+    n = draw(st.integers(1, 32))
+    preds = draw(arrays(float, n, elements=predictions))
+    labels = draw(arrays(float, n, elements=labels_01))
+    labels[draw(st.integers(0, n - 1))] = 1.0
+    return LabeledBatch(preds, labels)
+
+
+@settings(max_examples=200, deadline=None)
+@given(batches_with_a_positive(), st.floats(-150.0, 300.0), surrogates,
+       taus)
+@example(LabeledBatch(np.array([0.8, 0.2]), np.array([1.0, 0.0])), 0.0,
+         "piecewise", 0.5)
+def test_fbeta_loss_is_the_harmonic_mean_of_soft_precision_and_recall(
+        batch, log_beta, family, tau):
+    beta = 10.0 ** log_beta
+    config = LossConfig(beta=beta, tau_train=tau, approximation=family)
+    # a positive predicted 1 adds exactly 1 to tp + w·fn + (1 - w)·fp, so
+    # the guard, at most EPSILON, moves F by less than EPSILON relative
+    batch = LabeledBatch(np.append(batch.predictions, 1.0),
+                         np.append(batch.labels, 1.0))
+    loss, _ = fbeta_loss(batch, config)
+    tp, fp, fn, _ = (Fraction(float(count)) for count in
+                     soft_confusion(batch, config.train_stack).counts[0])
+    p, r, b2 = tp / (tp + fp), tp / (tp + fn), Fraction(beta) ** 2
+    textbook = (1 + b2) * p * r / (b2 * p + r)
+    assert math.isclose(1.0 - loss, textbook, rel_tol=2 * EPSILON)
+
+
+@settings(max_examples=200, deadline=None)
+@given(batches_with_a_positive(normal_predictions), surrogates, taus,
+       hard_counts)
+def test_f1_is_the_count_form_bit_for_bit(batch, family, tau, counts):
+    config = LossConfig(beta=1.0, tau_train=tau, approximation=family)
+    loss, grad = fbeta_loss(batch, config)
+    count_loss, count_grad = count_form_fbeta_loss(batch, config)
+    assert loss == count_loss
+    assert grad.tobytes() == count_grad.tobytes()
+    assert f_beta(counts, 1.0).value == count_form_f1(counts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(batches_with_a_positive(), surrogates)
+def test_fbeta_loss_gradient_at_beta_1e200_is_finite_and_nonzero(
+        batch, family):
+    config = LossConfig(beta=1e200, approximation=family)
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        loss, grad = fbeta_loss(batch, config)
+    assert 0.0 <= loss <= 1.0
+    assert np.all(np.isfinite(grad)) and np.any(grad != 0.0)
+
+
+@pytest.mark.parametrize("beta", [1e154, 1e200, sys.float_info.max])
+def test_fbeta_loss_on_a_zero_denominator_is_finite(beta):
+    # no positive, and every prediction 0: tp, fn and fp are all 0
+    batch = LabeledBatch(np.zeros(8), np.zeros(8))
+    with np.errstate(all="raise"):
+        loss, grad = fbeta_loss(batch, LossConfig(beta=beta))
+    assert loss == 1.0
+    assert np.all(np.isfinite(grad))
+
+
+@settings(max_examples=200, deadline=None)
+@given(hard_counts, st.floats(0.0, exclude_min=True, allow_infinity=False))
+def test_hard_f_beta_is_finite_for_every_finite_beta(counts, beta):
+    # MetricValue refuses a defined value outside [0, 1], NaN included
+    assert math.isfinite(f_beta(counts, beta).value)
+
+
+def test_hard_f_beta_at_extreme_betas_is_recall_or_precision():
+    counts = HardCounts(tp=5, fp=3, fn=2, tn=10)
+    assert f_beta(counts, 1e200).value == pytest.approx(5 / 7, rel=EPSILON)
+    assert f_beta(counts, 1e-200).value == pytest.approx(5 / 8, rel=EPSILON)
+    # fp keeps its weight 1 / (1 + beta²) where 1.0 - w has rounded to 0
+    no_positive = f_beta(HardCounts(tp=0, fp=3, fn=0, tn=5), 1e9)
+    assert no_positive.defined and no_positive.value == 0.0
 
 
 # ----------------------------------------------------------- accuracy loss
@@ -382,13 +501,13 @@ def test_objective_loss_dispatch():
 
 
 def test_fbeta_loss_gradient_at_the_largest_beta_is_finite_and_nonzero():
-    # past about 1e77 a 256-row batch squared its denominator to inf and
-    # got a gradient of exactly zero; at the bound 4096 rows are still fine
+    # the count form squared (1 + beta²)·tp, so past about 1e77 a 256-row
+    # batch got a gradient of exactly zero; the weighted form has no bound
     rng = np.random.default_rng(0)
     batch = LabeledBatch(rng.random(4096),
                          (rng.random(4096) < 0.3).astype(float))
     with np.errstate(all="raise"):
-        loss, grad = fbeta_loss(batch, LossConfig(beta=BETA_MAX))
+        loss, grad = fbeta_loss(batch, LossConfig(beta=1e200))
     assert np.isfinite(loss)
     assert np.all(np.isfinite(grad)) and np.any(grad != 0.0)
 
@@ -398,9 +517,10 @@ def test_loss_config_validation():
         LossConfig(objective="hinge")
     with pytest.raises(ValueError):
         LossConfig(beta=0.0)
-    for beta in (float("inf"), 1e155, math.nextafter(BETA_MAX, math.inf)):
-        with pytest.raises(ValueError, match="beta must be at most 8.63e"):
-            LossConfig(beta=beta)
+    with pytest.raises(ValueError, match="beta must be finite, got inf"):
+        LossConfig(beta=math.inf)
+    for beta in (1e155, sys.float_info.max, 5e-324):
+        LossConfig(beta=beta)
     with pytest.raises(ValueError):
         LossConfig(tau_train=1.0)
     with pytest.raises(ValueError):

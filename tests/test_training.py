@@ -12,6 +12,7 @@ from softstep.network import MlpModel, forward
 from softstep.training import (
     TrainConfig,
     TrainingDivergedError,
+    TrainingStalledError,
     TrainReport,
     train,
 )
@@ -89,11 +90,12 @@ def test_train_fixed_seed_reproduces_report_and_model():
 # ------------------------------------------------------------ early stopping
 
 
-def test_early_stop_fires_after_window_stagnant_epochs():
-    # lr below float resolution: parameters never actually move, so the
-    # validation loss is constant and only epoch 1 counts as an improvement
+def test_early_stop_fires_after_window_stagnant_epochs(monkeypatch):
+    # a constant validation loss: only epoch 1 counts as an improvement
     config = TrainConfig(loss=LossConfig(objective="bce"), batch_size=64,
-                         max_epochs=50, window=6, lr=1e-20, seed=3)
+                         max_epochs=50, window=6, seed=3)
+    monkeypatch.setattr(softstep.training, "_epoch_validation_loss",
+                        lambda model, split, config: 0.25)
     _, report = run(config, dropout=0.0)
     assert report.epochs_run == config.window + 1
     assert report.best_epoch == 1
@@ -159,6 +161,35 @@ def test_nonfinite_validation_loss_raises_diverged_error(monkeypatch):
                         lambda model, split, config: np.nan)
     with pytest.raises(TrainingDivergedError,
                        match="non-finite validation loss at epoch 1"):
+        train(fresh_model(split, config), split, config)
+
+
+@pytest.mark.parametrize("lr", [1e-300, 1e-20])
+def test_training_that_changes_no_prediction_is_refused(lr):
+    # updates this small round away in every pre-activation, although the
+    # zero-initialized biases do move
+    config = TrainConfig(loss=LossConfig(objective="bce"), batch_size=64,
+                         max_epochs=3, window=3, lr=lr, seed=3)
+    split = small_split(seed=3)
+    model = fresh_model(split, config, dropout=0.0)
+    initial = model.flat.copy()
+    with pytest.raises(TrainingStalledError,
+                       match=r"^\d+ optimizer steps changed no validation "
+                             r"prediction: objective bce, surrogate "
+                             r"piecewise, tau 0.5$"):
+        train(model, split, config)
+    assert not np.array_equal(model.flat, initial)
+
+
+def test_stalled_auroc_training_names_its_threshold_grid():
+    config = TrainConfig(loss=LossConfig(objective="auroc",
+                                         tau_grid=(0.25, 0.75)),
+                         batch_size=64, max_epochs=2, window=2, lr=1e-300,
+                         seed=3)
+    split = small_split(seed=3)
+    with pytest.raises(TrainingStalledError,
+                       match=r"objective auroc, surrogate piecewise, "
+                             r"tau grid \(0.25, 0.75\)$"):
         train(fresh_model(split, config), split, config)
 
 
