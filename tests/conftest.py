@@ -1,9 +1,8 @@
 import errno
 import os
 
-# BLAS on one thread, as the benchmark runs it, set before anything imports
-# numpy; a single-threaded process also lets batch-sweep fork its probe
-# worker
+# BLAS on one thread, as the benchmark and the CLI run it, set before
+# anything imports numpy
 for _variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                   "MKL_NUM_THREADS"):
     os.environ.setdefault(_variable, "1")

@@ -562,9 +562,8 @@ def test_output_path_that_cannot_be_written_is_refused_first(
 
 
 def test_blas_threads_do_not_change_the_tables(tmp_path):
-    # one BLAS thread leaves the process single-threaded, so batch-sweep
-    # probes in its forked worker; two start a BLAS thread, and the probe
-    # runs inline
+    # BLAS on one thread (the CLI's default) and on two give the same
+    # tables, batch-sweep's probe and training alike
     src = str(Path(softstep.cli.__file__).resolve().parents[1])
     runs = {"batch-sweep": ["--batch-size", "32,128"],
             "loss-grid": ["--loss", "f_1,accuracy", "--batch-size", "64",
@@ -678,15 +677,15 @@ def test_cli_runs_blas_on_one_thread_unless_told_otherwise(openblas):
         filter(None, (src, os.environ.get("PYTHONPATH"))))
     if openblas:
         env["OPENBLAS_NUM_THREADS"] = openblas
-    code = ("import os, softstep.cli, softstep.experiments as e; "
-            "print(len(os.listdir('/proc/self/task')), e._probe_can_fork(), "
+    code = ("import os, softstep.cli; "
+            "print(len(os.listdir('/proc/self/task')), "
             "*(os.environ[v] for v in %r))" % (_BLAS_VARIABLES,))
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
-    threads, can_fork, *values = done.stdout.split()
+    threads, *values = done.stdout.split()
     assert values == [openblas or "1", "1", "1"]
     if not openblas:
-        assert (threads, can_fork) == ("1", "True")
+        assert threads == "1"
 
 
 @pytest.fixture

@@ -1,7 +1,4 @@
 import json
-import multiprocessing
-import os
-import time
 
 import numpy as np
 import pytest
@@ -17,7 +14,7 @@ from softstep.experiments import (
     ResultRow,
     ResultTable,
     _batch_deviations,
-    _probe_deviation,
+    _DeviationProbe,
     loss_config_for,
     parse_dataset_source,
     parse_loss_token,
@@ -432,86 +429,23 @@ def test_batch_probe_matches_a_fresh_forward_on_each_batch():
     model = trial_model(spec, split.train.dims, spec.seed)
     train(model, split, train_config_for(spec, loss, spec.seed, 32),
           step_callback=fresh_forward_probe)
+    # 192 train rows: six batches of 32 per epoch
+    assert len(reference) == 24
     assert deviations == reference
     # deviations that vary from step to step make misaligned rows show
     assert len(set(deviations)) > len(deviations) // 2
 
 
-# --------------------------------------------------- the probe's two paths
+def test_probe_that_raises_gives_an_error_row_for_its_batch_size(
+        monkeypatch):
+    probe = _DeviationProbe.__call__
 
-
-def force_probe_path(monkeypatch, path):
-    """Make batch-sweep probe on the given path, whatever the process.
-
-    "inline" probes in the training process, "worker" shares the steps with
-    the forked worker, and "slow worker" with a worker so slow that
-    training gets ahead of it.  Returns the steps the training process
-    scored itself on the slow worker path.  The worker paths are skipped
-    where the real choice would not fork: off Linux, in a multi-threaded
-    process or on one CPU.
-    """
-    if path != "inline" and not softstep.experiments._probe_can_fork():
-        pytest.skip("the probe forks only a single-threaded Linux process "
-                    "that may run on two or more CPUs")
-    monkeypatch.setattr(softstep.experiments, "_probe_can_fork",
-                        lambda: path != "inline")
-    scored_here = []
-    if path == "slow worker":
-        parent, probe = os.getpid(), softstep.experiments._probe_deviation
-
-        def slow_in_worker(*args):
-            if os.getpid() == parent:
-                scored_here.append(args[3])
-            else:
-                time.sleep(0.01)
-            return probe(*args)
-
-        monkeypatch.setattr(softstep.experiments, "_probe_deviation",
-                            slow_in_worker)
-    return scored_here
-
-
-PATHS = pytest.mark.parametrize("path", ["inline", "worker", "slow worker"])
-
-
-@PATHS
-def test_probe_paths_give_the_deviations_of_a_step_callback(monkeypatch,
-                                                            path):
-    spec = toy_spec("batch-sweep", max_epochs=4, window=4)
-    split = prepared_split(spec)
-    _, loss = loss_config_for(spec, "f_1", spec.approximation)
-    reference = []
-
-    def probe(model, epoch, step, idx):
-        reference.append(_probe_deviation(
-            model, split.train.features, split.train.labels, idx, spec.tau))
-
-    model = trial_model(spec, split.train.dims, spec.seed)
-    train(model, split, train_config_for(spec, loss, spec.seed, 32),
-          step_callback=probe)
-    scored_here = force_probe_path(monkeypatch, path)
-    # 192 train rows: six batches of 32 per epoch
-    assert len(reference) == 24
-    assert _batch_deviations(spec, split, loss, 32) == reference
-    if path == "slow worker":
-        # training scored every third step, the worker the others
-        assert len(scored_here) == 8
-    assert multiprocessing.active_children() == []
-
-
-@PATHS
-def test_probe_that_raises_gives_the_same_error_row_on_each_path(
-        monkeypatch, path):
-    def fails_on_small_batches(model, features, labels, idx, tau):
+    def fails_on_small_batches(self, model, epoch, step, idx):
         if len(idx) < 100:
             raise ValueError(f"no probe for the batch from row {idx[0]}")
-        return _probe_deviation(model, features, labels, idx, tau)
+        probe(self, model, epoch, step, idx)
 
-    monkeypatch.setattr(softstep.experiments, "_probe_deviation",
-                        fails_on_small_batches)
-    # a slow worker still owes the first steps when training fails on a
-    # later one itself; the first step's error is the one reported
-    force_probe_path(monkeypatch, path)
+    monkeypatch.setattr(_DeviationProbe, "__call__", fails_on_small_batches)
     spec = toy_spec("batch-sweep", batch_sizes=(64, 192), max_epochs=3,
                     window=3)
     first = batches(prepared_split(spec).train, 64, spec.seed, 1)[0][0]
@@ -519,62 +453,14 @@ def test_probe_that_raises_gives_the_same_error_row_on_each_path(
     assert [row.status for row in table.rows] == [
         f"error: ValueError: no probe for the batch from row {first}", "ok"]
     assert table.rows[1].steps == 3
-    assert multiprocessing.active_children() == []
 
 
-@PATHS
-def test_probe_error_before_a_training_error_is_the_one_reported(
-        monkeypatch, path):
+def test_probe_error_before_a_training_error_is_the_one_reported():
     # at this rate the first step's weights overflow: the probe of step 1
-    # meets non-finite predictions before training's step 2 does, even
-    # when the worker has not answered for step 1 yet
-    force_probe_path(monkeypatch, path)
+    # meets non-finite predictions before training's step 2 does
     spec = toy_spec("batch-sweep", batch_sizes=(32,), max_epochs=3,
                     window=3, lr=1e300)
     with np.errstate(over="ignore", invalid="ignore"):
         table = run_batch_sweep(spec)
     assert [row.status for row in table.rows] == [
         "error: ValueError: predictions must be finite and lie in [0, 1]"]
-    assert multiprocessing.active_children() == []
-
-
-def test_first_of_several_worker_errors_is_the_one_reported(monkeypatch):
-    # every step the worker scores fails, each with its own message; the
-    # steps training scores itself succeed
-    force_probe_path(monkeypatch, "worker")
-    parent, probe = os.getpid(), softstep.experiments._probe_deviation
-
-    def fails_in_worker(model, features, labels, idx, tau):
-        if os.getpid() != parent:
-            raise ValueError(f"no probe for the batch from row {idx[0]}")
-        return probe(model, features, labels, idx, tau)
-
-    monkeypatch.setattr(softstep.experiments, "_probe_deviation",
-                        fails_in_worker)
-    spec = toy_spec("batch-sweep", batch_sizes=(32,), max_epochs=3,
-                    window=3)
-    first = batches(prepared_split(spec).train, 32, spec.seed, 1)[0][0]
-    table = run_batch_sweep(spec)
-    assert [row.status for row in table.rows] == [
-        f"error: ValueError: no probe for the batch from row {first}"]
-    assert multiprocessing.active_children() == []
-
-
-def test_probe_worker_that_dies_gives_an_error_row_naming_its_exit_code(
-        monkeypatch):
-    force_probe_path(monkeypatch, "worker")
-    parent, probe = os.getpid(), softstep.experiments._probe_deviation
-
-    def exits_in_worker(*args):
-        # training may score a step itself before it sees the worker gone
-        if os.getpid() != parent:
-            os._exit(3)
-        return probe(*args)
-
-    monkeypatch.setattr(softstep.experiments, "_probe_deviation",
-                        exits_in_worker)
-    table = run_batch_sweep(toy_spec("batch-sweep", batch_sizes=(64, 192),
-                                     max_epochs=3, window=3))
-    assert [row.status for row in table.rows] == [
-        "error: RuntimeError: probe worker exited with code 3"] * 2
-    assert multiprocessing.active_children() == []

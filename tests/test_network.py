@@ -9,6 +9,7 @@ from softstep.confusion import LabeledBatch
 from softstep.metrics import LossConfig, bce_loss, fbeta_loss
 from softstep.network import (
     AdamState,
+    EvalKernel,
     MlpModel,
     StaleCacheError,
     adam_step,
@@ -109,6 +110,29 @@ def test_dropout_expectation_matches_eval_preactivation():
     mean = samples.mean(axis=0)
     se = samples.std(axis=0, ddof=1) / np.sqrt(n_masks)
     assert np.all(np.abs(mean - z_eval) <= 3.0 * se + 1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(3, 300),
+       input_dim=st.integers(1, 11),
+       log_scales=st.tuples(*[st.floats(-4.0, 4.0)] * 3))
+def test_eval_kernel_gives_forward_bit_for_bit(seed, rows, input_dim,
+                                               log_scales):
+    # weights, biases and inputs each over eight orders of magnitude
+    rng = np.random.default_rng(seed)
+    model = toy_model(input_dim, dropout=0.5, seed=seed)
+    w_scale, b_scale, x_scale = 10.0 ** np.array(log_scales)
+    x = rng.normal(scale=x_scale, size=(rows, input_dim))
+    kernel = EvalKernel(x)
+    for _ in range(2):
+        # the second round checks that the kernel reads the moved weights
+        for weights, biases in zip(model.weights, model.biases):
+            weights[:] = rng.normal(scale=w_scale, size=weights.shape)
+            biases[:] = rng.normal(scale=b_scale, size=biases.shape)
+        model._cache = cache = {}
+        preds = kernel(model)
+        assert model._cache is cache
+        assert preds.tobytes() == forward(model, x).tobytes()
 
 
 # ----------------------------------------------------------------- backward

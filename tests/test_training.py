@@ -90,12 +90,19 @@ def test_train_fixed_seed_reproduces_report_and_model():
 # ------------------------------------------------------------ early stopping
 
 
+def validation_loss_of(value):
+    """A stand-in for ``_epoch_validation_loss`` that reports ``value``."""
+    def validate(model, split, config):
+        return value, forward(model, split.validation.features)
+    return validate
+
+
 def test_early_stop_fires_after_window_stagnant_epochs(monkeypatch):
     # a constant validation loss: only epoch 1 counts as an improvement
     config = TrainConfig(loss=LossConfig(objective="bce"), batch_size=64,
                          max_epochs=50, window=6, seed=3)
     monkeypatch.setattr(softstep.training, "_epoch_validation_loss",
-                        lambda model, split, config: 0.25)
+                        validation_loss_of(0.25))
     _, report = run(config, dropout=0.0)
     assert report.epochs_run == config.window + 1
     assert report.best_epoch == 1
@@ -158,7 +165,7 @@ def test_nonfinite_validation_loss_raises_diverged_error(monkeypatch):
     config = TrainConfig(loss=LossConfig(objective="bce"), batch_size=16,
                          max_epochs=5, window=3, seed=7)
     monkeypatch.setattr(softstep.training, "_epoch_validation_loss",
-                        lambda model, split, config: np.nan)
+                        validation_loss_of(np.nan))
     with pytest.raises(TrainingDivergedError,
                        match="non-finite validation loss at epoch 1"):
         train(fresh_model(split, config), split, config)
