@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -434,6 +435,24 @@ def test_batch_probe_matches_a_fresh_forward_on_each_batch():
     assert deviations == reference
     # deviations that vary from step to step make misaligned rows show
     assert len(set(deviations)) > len(deviations) // 2
+
+
+@pytest.mark.parametrize("path", ["inline"])
+def test_probe_paths_give_the_deviations_of_a_step_callback(path):
+    # the probe has one path: it runs in the training process as the
+    # training's step callback, so the sweep's deviations are those of a
+    # probe handed to train() by hand, and no worker process is started
+    spec = toy_spec("batch-sweep", max_epochs=4, window=4)
+    split = prepared_split(spec)
+    _, loss = loss_config_for(spec, "f_1", spec.approximation)
+    reference = _DeviationProbe(split.train, spec.tau)
+    model = trial_model(spec, split.train.dims, spec.seed)
+    train(model, split, train_config_for(spec, loss, spec.seed, 32),
+          step_callback=reference)
+    # 192 train rows: six batches of 32 per epoch
+    assert len(reference.deviations) == 24
+    assert _batch_deviations(spec, split, loss, 32) == reference.deviations
+    assert multiprocessing.active_children() == []
 
 
 def test_probe_that_raises_gives_an_error_row_for_its_batch_size(
