@@ -153,10 +153,14 @@ def aggregate_soft_grad(batch: LabeledBatch, approx) -> SoftCountGrads:
     return SoftCountGrads(*per_cell.T)
 
 
+def hard_counts(predicted: np.ndarray, positive: np.ndarray) -> HardCounts:
+    """The partition of a boolean predicted-positive mask by boolean labels."""
+    tp = int(np.count_nonzero(predicted & positive))
+    fp = int(np.count_nonzero(predicted)) - tp
+    fn = int(np.count_nonzero(positive)) - tp
+    return HardCounts(tp=tp, fp=fp, fn=fn, tn=len(predicted) - tp - fp - fn)
+
+
 def aggregate_hard(batch: LabeledBatch, tau: float) -> HardCounts:
     """Threshold predictions at tau (ties positive) and count the partition."""
-    predicted = batch.predictions >= tau
-    tp = int(np.count_nonzero(batch.labels[predicted]))
-    fp = int(np.count_nonzero(predicted)) - tp
-    fn = int(np.count_nonzero(batch.labels)) - tp
-    return HardCounts(tp=tp, fp=fp, fn=fn, tn=batch.n - tp - fp - fn)
+    return hard_counts(batch.predictions >= tau, batch.labels == 1.0)

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from softstep.confusion import HardCounts
+from softstep.confusion import hard_counts
 from softstep.data import (
     Dataset,
     SplitDataset,
@@ -447,7 +447,6 @@ class _DeviationProbe:
     def __init__(self, train_split: Dataset, tau: float):
         self.kernel = EvalKernel(train_split.features)
         self.positive = train_split.labels == 1.0
-        self.n_positive = train_split.n_positive
         self.tau = tau
         self.deviations = []
 
@@ -457,17 +456,7 @@ class _DeviationProbe:
         if not (preds.min() >= 0.0 and preds.max() <= 1.0):
             raise ValueError("predictions must be finite and lie in [0, 1]")
         predicted = preds >= self.tau
-        positive = self.positive[idx]
-        batch = _hard_counts(predicted[idx], positive,
-                             int(np.count_nonzero(positive)))
-        split = _hard_counts(predicted, self.positive, self.n_positive)
+        batch = hard_counts(predicted[idx], self.positive[idx])
+        split = hard_counts(predicted, self.positive)
         self.deviations.append(abs(f_beta(batch, 1.0, tau=self.tau).value
                                    - f_beta(split, 1.0, tau=self.tau).value))
-
-
-def _hard_counts(predicted, positive, n_positive: int) -> HardCounts:
-    """The confusion counts of a thresholded mask against its labels."""
-    tp = int(np.count_nonzero(predicted & positive))
-    fp = int(np.count_nonzero(predicted)) - tp
-    fn = n_positive - tp
-    return HardCounts(tp=tp, fp=fp, fn=fn, tn=len(predicted) - tp - fp - fn)

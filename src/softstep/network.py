@@ -3,9 +3,10 @@
 The network is fixed at dense layers of widths input->32->16->1: ReLU plus
 dropout after each hidden layer, sigmoid on the output. Dropout is inverted
 (masks scaled by 1/(1-rate) at train time) so inference needs no rescaling.
-Forward passes cache activations on the model; backward consumes that cache
-and returns the parameter gradient as one vector laid out like
-``MlpModel.flat``, which adam_step applies to ``flat`` in one pass.
+forward returns a Pass of the activations it computed and leaves the model
+as it was; backward takes that Pass and returns the parameter gradient as
+one vector laid out like ``MlpModel.flat``, which adam_step applies to
+``flat`` in one pass.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,10 +28,6 @@ CHECKPOINT_MAGIC = b"SSTEPNN1"
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_STABILITY = 1e-8
-
-
-class StaleCacheError(RuntimeError):
-    """backward() called without a matching forward() cache."""
 
 
 def check_dropout(rate: float) -> None:
@@ -52,7 +50,6 @@ class MlpModel:
     biases: tuple
     dropout_rates: tuple
     flat: np.ndarray = field(init=False, repr=False)
-    _cache: dict | None = field(default=None, repr=False)
 
     def __post_init__(self):
         """Check that the layers chain and pack them into ``flat``."""
@@ -110,15 +107,23 @@ def _interleave(weights, biases) -> list:
     return [p for pair in zip(weights, biases) for p in pair]
 
 
+class Pass(NamedTuple):
+    """What backward() reads of one forward pass: the (n,) predictions, the
+    input, each hidden layer's output after ReLU and dropout, and each
+    layer's dropout mask (None where none was applied)."""
+
+    preds: np.ndarray
+    x: np.ndarray
+    hidden: tuple
+    masks: tuple
+
+
 def forward(model: MlpModel, features: np.ndarray, train_mode: bool = False,
-            rng: np.random.Generator | None = None) -> np.ndarray:
-    """Predictions in (0,1) for a feature matrix of shape (n, input_dim).
+            rng: np.random.Generator | None = None) -> Pass:
+    """The Pass of a feature matrix of shape (n, input_dim); preds in (0,1).
 
     train_mode applies inverted dropout after each hidden ReLU and requires
-    an rng; eval mode is deterministic. The forward cache for backward() is
-    stored on the model and overwritten by each call: the input, each hidden
-    layer's output after ReLU and dropout, the dropout masks (None in eval
-    mode) and the predictions.
+    an rng; eval mode is deterministic. The model is not changed.
     """
     x = np.asarray(features, dtype=float)
     if x.ndim != 2:
@@ -129,7 +134,8 @@ def forward(model: MlpModel, features: np.ndarray, train_mode: bool = False,
     if train_mode and rng is None:
         raise ValueError("train_mode forward needs an rng for dropout masks")
 
-    cache = {"x": x, "a": [], "mask": []}
+    hidden = []
+    masks = []
     activ = x
     for layer in (0, 1):
         # one array per layer: the affine map, then ReLU and dropout in place
@@ -146,15 +152,12 @@ def forward(model: MlpModel, features: np.ndarray, train_mode: bool = False,
             relu *= mask
         else:
             mask = None
-        cache["a"].append(relu)
-        cache["mask"].append(mask)
+        hidden.append(relu)
+        masks.append(mask)
         activ = relu
     z_out = activ @ model.weights[2]
     z_out += model.biases[2]
-    preds = logistic(z_out[:, 0])
-    cache["preds"] = preds
-    model._cache = cache
-    return preds
+    return Pass(logistic(z_out[:, 0]), x, tuple(hidden), tuple(masks))
 
 
 class EvalKernel:
@@ -166,7 +169,7 @@ class EvalKernel:
     The bias enters each sum last, so for three or more rows the predictions
     equal ``forward(model, features)`` bit for bit (one row may take BLAS's
     gemv path, which sums in another order). Every layer writes into a
-    buffer built once, and the model's forward cache is left alone.
+    buffer built once.
     """
 
     def __init__(self, features: np.ndarray):
@@ -196,36 +199,30 @@ class EvalKernel:
         return logistic(self._products[2][:, 0])
 
 
-def backward(model: MlpModel, loss_grad: np.ndarray) -> np.ndarray:
-    """Gradient of the scalar loss, given d(loss)/d(prediction).
+def backward(model: MlpModel, loss_grad: np.ndarray, fwd: Pass) -> np.ndarray:
+    """Gradient of the scalar loss through ``fwd``, given d(loss)/d(preds).
 
     Returns one new float64 vector in the layout of ``model.flat``
-    (w0, b0, w1, b1, w2, b2). Requires the cache left by the most recent
-    forward() on this model with a loss_grad of the same batch length;
-    anything else raises StaleCacheError rather than returning silently
-    wrong gradients.
+    (w0, b0, w1, b1, w2, b2). ``fwd`` is the Pass forward() returned for
+    this model's current parameters; a loss_grad of another shape than
+    its preds raises ValueError.
     """
-    cache = model._cache
-    if cache is None:
-        raise StaleCacheError("no cached forward pass on this model")
     loss_grad = np.asarray(loss_grad, dtype=float)
-    n = cache["x"].shape[0]
-    if loss_grad.shape != (n,):
-        raise StaleCacheError(
-            f"loss_grad shape {loss_grad.shape} does not match cached "
-            f"batch of {n} samples")
+    preds = fwd.preds
+    if loss_grad.shape != preds.shape:
+        raise ValueError(f"loss_grad shape {loss_grad.shape} does not match "
+                         f"the pass's {preds.shape} predictions")
 
-    preds = cache["preds"]
     dz = (loss_grad * preds * (1.0 - preds))[:, None]
-    grads = [cache["a"][1].T @ dz, dz.sum(axis=0)]    # w2, b2
+    grads = [fwd.hidden[1].T @ dz, dz.sum(axis=0)]    # w2, b2
     da = dz @ model.weights[2].T
     for layer in (1, 0):
-        if cache["mask"][layer] is not None:
-            da *= cache["mask"][layer]
+        if fwd.masks[layer] is not None:
+            da *= fwd.masks[layer]
         # a > 0 is z > 0 wherever the mask kept the unit; where it dropped
         # the unit, da is already zero
-        da *= cache["a"][layer] > 0.0
-        inputs = cache["a"][layer - 1] if layer == 1 else cache["x"]
+        da *= fwd.hidden[layer] > 0.0
+        inputs = fwd.hidden[0] if layer == 1 else fwd.x
         grads += [inputs.T @ da, da.sum(axis=0)]
         if layer == 1:
             da = da @ model.weights[1].T

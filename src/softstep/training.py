@@ -104,7 +104,7 @@ class TrainReport(Artifact):
 def score_test_split(model: MlpModel, split: SplitDataset, tau_grid,
                      beta: float) -> MetricTable:
     """``evaluate_over_grid`` of the model's eval-mode test predictions."""
-    preds = forward(model, split.test.features)
+    preds = forward(model, split.test.features).preds
     return evaluate_over_grid(LabeledBatch(preds, split.test.labels),
                               tau_grid, beta=beta)
 
@@ -116,7 +116,7 @@ def _finite_or_diverged(preds, context):
 
 def _epoch_validation_loss(model, split, config):
     """The objective on the validation split, and the predictions it scored."""
-    preds = forward(model, split.validation.features, train_mode=False)
+    preds = forward(model, split.validation.features, train_mode=False).preds
     _finite_or_diverged(preds, "on the validation split")
     batch = LabeledBatch(preds, split.validation.labels)
     loss, _ = objective_loss(batch, config.loss)
@@ -153,7 +153,7 @@ def train(model: MlpModel, split: SplitDataset, config: TrainConfig,
     best_val = np.inf
     best_epoch = 0
     best_params = model.flat.copy()
-    initial_preds = forward(model, split.validation.features)
+    initial_preds = forward(model, split.validation.features).preds
     stale = 0
     skipped = 0
     step = 0
@@ -168,19 +168,20 @@ def train(model: MlpModel, split: SplitDataset, config: TrainConfig,
         for idx in batches(split.train, config.batch_size, config.seed,
                            epoch):
             labels = split.train.labels[idx]
-            preds = forward(model, split.train.features[idx],
-                            train_mode=True, rng=dropout_rng)
-            _finite_or_diverged(preds, f"at epoch {epoch}, step {step + 1}")
+            fwd = forward(model, split.train.features[idx],
+                          train_mode=True, rng=dropout_rng)
+            _finite_or_diverged(fwd.preds,
+                                f"at epoch {epoch}, step {step + 1}")
             try:
                 loss, loss_grad = objective_loss(
-                    LabeledBatch(preds, labels), config.loss)
+                    LabeledBatch(fwd.preds, labels), config.loss)
             except UndefinedMetricError:
                 skipped += 1
                 continue
             if not np.isfinite(loss) or not np.all(np.isfinite(loss_grad)):
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch}, step {step + 1}")
-            adam_step(optimizer, model, backward(model, loss_grad))
+            adam_step(optimizer, model, backward(model, loss_grad, fwd))
             step += 1
             loss_sum += loss * len(labels)
             seen += len(labels)

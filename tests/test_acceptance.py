@@ -168,7 +168,7 @@ def test_criterion_02_gradient_oracle():
         features = None
         while features is None:
             cand = rng.normal(scale=2.0, size=(48, 2))
-            preds = forward(model, cand)
+            preds = forward(model, cand).preds
             if boundaries and not clear_of(boundaries, preds):
                 continue
             if np.any(preds < 1e-3) or np.any(preds > 1 - 1e-3):
@@ -181,12 +181,13 @@ def test_criterion_02_gradient_oracle():
         def loss_at(theta):
             probe = MlpModel.create(2, rng=np.random.default_rng(7))
             probe.flat[:] = theta
-            batch = LabeledBatch(forward(probe, features), labels)
+            batch = LabeledBatch(forward(probe, features).preds, labels)
             return objective_loss(batch, config)[0]
 
-        batch = LabeledBatch(forward(model, features), labels)
+        fwd = forward(model, features)
+        batch = LabeledBatch(fwd.preds, labels)
         _, pred_grad = objective_loss(batch, config)
-        analytic = backward(model, pred_grad)
+        analytic = backward(model, pred_grad, fwd)
 
         for index in rng.choice(flat.size, size=130, replace=False):
             def at(x, index=index):
@@ -294,7 +295,7 @@ def test_criterion_05_balanced_reproduction_band():
 
 
 def hard_test_metrics(model, split, tau=0.5):
-    preds = forward(model, split.test.features)
+    preds = forward(model, split.test.features).preds
     counts = aggregate_hard(LabeledBatch(preds, split.test.labels), tau)
     return f_beta(counts, 1.0).value, accuracy(counts).value
 

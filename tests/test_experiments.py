@@ -415,7 +415,7 @@ def test_batch_probe_matches_a_fresh_forward_on_each_batch():
     deviations = _batch_deviations(spec, split, loss, 32)
 
     def hard_f1(model, rows):
-        preds = forward(model, split.train.features[rows])
+        preds = forward(model, split.train.features[rows]).preds
         counts = aggregate_hard(
             LabeledBatch(preds, split.train.labels[rows]), spec.tau)
         return f_beta(counts, 1.0, tau=spec.tau).value

@@ -11,7 +11,6 @@ from softstep.network import (
     AdamState,
     EvalKernel,
     MlpModel,
-    StaleCacheError,
     adam_step,
     backward,
     forward,
@@ -40,9 +39,9 @@ def param_gradient_fd(model, features, labels, loss_fn, coord, h=1e-5):
     """Central difference of the scalar loss along ``model.flat[coord]``."""
     original = model.flat[coord]
     model.flat[coord] = original + h
-    up, _ = loss_fn(LabeledBatch(forward(model, features), labels))
+    up, _ = loss_fn(LabeledBatch(forward(model, features).preds, labels))
     model.flat[coord] = original - h
-    dn, _ = loss_fn(LabeledBatch(forward(model, features), labels))
+    dn, _ = loss_fn(LabeledBatch(forward(model, features).preds, labels))
     model.flat[coord] = original
     return (up - dn) / (2.0 * h)
 
@@ -53,20 +52,20 @@ def param_gradient_fd(model, features, labels, loss_fn, coord, h=1e-5):
 def test_forward_zero_parameters_gives_half():
     model = toy_model()
     model.flat[:] = 0.0
-    preds = forward(model, np.random.default_rng(1).normal(size=(7, 3)))
+    preds = forward(model, np.random.default_rng(1).normal(size=(7, 3))).preds
     assert np.all(preds == 0.5)
 
 
 def test_forward_eval_mode_deterministic():
     model = toy_model(seed=3)
     x = np.random.default_rng(4).normal(size=(20, 3))
-    assert np.array_equal(forward(model, x), forward(model, x))
+    assert np.array_equal(forward(model, x).preds, forward(model, x).preds)
 
 
 def test_forward_single_row_and_range():
     model = toy_model(seed=5)
     x = np.random.default_rng(6).normal(size=(1, 3)) * 50
-    preds = forward(model, x)
+    preds = forward(model, x).preds
     assert preds.shape == (1,)
     assert 0.0 <= preds[0] <= 1.0
 
@@ -87,7 +86,18 @@ def test_forward_train_mode_drops_units():
     rng = np.random.default_rng(9)
     a = forward(model, x, train_mode=True, rng=rng)
     b = forward(model, x, train_mode=True, rng=rng)
-    assert not np.array_equal(a, b)
+    assert not np.array_equal(a.preds, b.preds)
+
+
+@pytest.mark.parametrize("train_mode", [False, True])
+def test_forward_leaves_the_model_unchanged(train_mode):
+    model = toy_model(dropout=0.5, seed=10)
+    keys = set(vars(model))
+    flat = model.flat.tobytes()
+    x = np.random.default_rng(11).normal(size=(6, 3))
+    forward(model, x, train_mode, np.random.default_rng(12))
+    assert set(vars(model)) == keys
+    assert model.flat.tobytes() == flat
 
 
 def test_dropout_expectation_matches_eval_preactivation():
@@ -96,17 +106,16 @@ def test_dropout_expectation_matches_eval_preactivation():
     model = toy_model(dropout=0.5, seed=11)
     x = np.random.default_rng(12).normal(size=(1, 3))
 
-    def layer2_preactivation():
-        return (model._cache["a"][0] @ model.weights[1] + model.biases[1])[0]
+    def layer2_preactivation(fwd):
+        return (fwd.hidden[0] @ model.weights[1] + model.biases[1])[0]
 
-    forward(model, x, train_mode=False)
-    z_eval = layer2_preactivation()
+    z_eval = layer2_preactivation(forward(model, x, train_mode=False))
     rng = np.random.default_rng(13)
     n_masks = 10_000
     samples = np.empty((n_masks, z_eval.shape[0]))
     for i in range(n_masks):
-        forward(model, x, train_mode=True, rng=rng)
-        samples[i] = layer2_preactivation()
+        samples[i] = layer2_preactivation(
+            forward(model, x, train_mode=True, rng=rng))
     mean = samples.mean(axis=0)
     se = samples.std(axis=0, ddof=1) / np.sqrt(n_masks)
     assert np.all(np.abs(mean - z_eval) <= 3.0 * se + 1e-12)
@@ -129,32 +138,43 @@ def test_eval_kernel_gives_forward_bit_for_bit(seed, rows, input_dim,
         for weights, biases in zip(model.weights, model.biases):
             weights[:] = rng.normal(scale=w_scale, size=weights.shape)
             biases[:] = rng.normal(scale=b_scale, size=biases.shape)
-        model._cache = cache = {}
         preds = kernel(model)
-        assert model._cache is cache
-        assert preds.tobytes() == forward(model, x).tobytes()
+        assert preds.tobytes() == forward(model, x).preds.tobytes()
 
 
 # ----------------------------------------------------------------- backward
 
 
-def test_backward_requires_forward_cache():
-    model = toy_model()
-    with pytest.raises(StaleCacheError):
-        backward(model, np.zeros(4))
-
-
 def test_backward_rejects_mismatched_loss_grad():
     model = toy_model()
-    forward(model, np.zeros((4, 3)))
-    with pytest.raises(StaleCacheError):
-        backward(model, np.zeros(5))
+    fwd = forward(model, np.zeros((4, 3)))
+    with pytest.raises(ValueError, match="loss_grad shape"):
+        backward(model, np.zeros(5), fwd)
+
+
+def test_backward_uses_only_the_pass_it_is_given():
+    # a train-mode pass on batch A, then an eval pass on another batch B of
+    # the same length: backward through A's pass gives A's gradient
+    model = toy_model(dropout=0.3, seed=15)
+    rng = np.random.default_rng(16)
+    batch_a, batch_b = rng.normal(size=(2, 8, 3))
+    loss_grad = rng.normal(size=8)
+
+    def train_pass():
+        return forward(model, batch_a, train_mode=True,
+                       rng=np.random.default_rng(17))
+
+    clean = backward(model, loss_grad, train_pass())
+    fwd = train_pass()
+    other = forward(model, batch_b)
+    assert backward(model, loss_grad, fwd).tobytes() == clean.tobytes()
+    assert not np.array_equal(backward(model, loss_grad, other), clean)
 
 
 def test_backward_zero_loss_grad_gives_zero_param_grads():
     model = toy_model(seed=17)
-    forward(model, np.random.default_rng(18).normal(size=(6, 3)))
-    grad = backward(model, np.zeros(6))
+    fwd = forward(model, np.random.default_rng(18).normal(size=(6, 3)))
+    grad = backward(model, np.zeros(6), fwd)
     assert grad.shape == model.flat.shape and grad.dtype == np.float64
     assert np.all(grad == 0.0)
 
@@ -164,9 +184,9 @@ def test_backward_matches_finite_differences_bce():
     rng = np.random.default_rng(20)
     x = rng.normal(size=(8, 3))
     y = rng.integers(0, 2, 8).astype(float)
-    preds = forward(model, x)
-    _, loss_grad = bce_loss(LabeledBatch(preds, y))
-    grad = backward(model, loss_grad)
+    fwd = forward(model, x)
+    _, loss_grad = bce_loss(LabeledBatch(fwd.preds, y))
+    grad = backward(model, loss_grad, fwd)
     for block in param_blocks(model):
         coords = block if len(block) < 40 else \
             rng.choice(block, 25, replace=False)
@@ -186,11 +206,11 @@ def test_backward_matches_finite_differences_fbeta():
         model = toy_model(seed=100 + attempt)
         x = rng.normal(size=(10, 3))
         y = rng.integers(0, 2, 10).astype(float)
-        preds = forward(model, x)
-        if min(abs(p - b) for p in preds for b in boundaries) > 1e-3:
+        fwd = forward(model, x)
+        if min(abs(p - b) for p in fwd.preds for b in boundaries) > 1e-3:
             break
-    _, loss_grad = loss_fn(LabeledBatch(preds, y))
-    grad = backward(model, loss_grad)
+    _, loss_grad = loss_fn(LabeledBatch(fwd.preds, y))
+    grad = backward(model, loss_grad, fwd)
     for block in param_blocks(model):
         coords = rng.choice(block, min(20, len(block)), replace=False)
         for coord in coords:
@@ -210,17 +230,17 @@ def test_backward_with_active_dropout_matches_fd_under_fixed_masks():
         return forward(model, x, train_mode=True,
                        rng=np.random.default_rng(999))
 
-    preds = masked_forward()
-    _, loss_grad = bce_loss(LabeledBatch(preds, y))
-    grad = backward(model, loss_grad)
+    fwd = masked_forward()
+    _, loss_grad = bce_loss(LabeledBatch(fwd.preds, y))
+    grad = backward(model, loss_grad, fwd)
     h = 1e-5
     for block in param_blocks(model)[0::2]:    # the weight matrices
         for coord in (block[0], block[len(block) // 2], block[-1]):
             original = model.flat[coord]
             model.flat[coord] = original + h
-            up, _ = bce_loss(LabeledBatch(masked_forward(), y))
+            up, _ = bce_loss(LabeledBatch(masked_forward().preds, y))
             model.flat[coord] = original - h
-            dn, _ = bce_loss(LabeledBatch(masked_forward(), y))
+            dn, _ = bce_loss(LabeledBatch(masked_forward().preds, y))
             model.flat[coord] = original
             fd = (up - dn) / (2 * h)
             assert grad[coord] == pytest.approx(fd, rel=1e-4, abs=1e-10)
@@ -382,11 +402,11 @@ def test_train_mode_masks_are_the_uniform_threshold_masks():
     # them as float masks scaled by 1/(1 - rate)
     model = toy_model(dropout=0.3, seed=47)
     x = np.random.default_rng(48).normal(size=(9, 3))
-    forward(model, x, train_mode=True, rng=np.random.default_rng(49))
+    fwd = forward(model, x, train_mode=True, rng=np.random.default_rng(49))
     reference = np.random.default_rng(49)
     for layer, width in enumerate((32, 16)):
         expected = (reference.uniform(size=(9, width)) >= 0.3) / (1.0 - 0.3)
-        mask = model._cache["mask"][layer]
+        mask = fwd.masks[layer]
         assert mask.dtype == np.float64
         assert mask.tobytes() == expected.tobytes()
 
@@ -402,7 +422,7 @@ def test_checkpoint_roundtrip(tmp_path):
     assert loaded.dropout_rates == model.dropout_rates
     assert np.array_equal(loaded.flat, model.flat)
     x = np.random.default_rng(38).normal(size=(9, 5))
-    assert np.array_equal(forward(loaded, x), forward(model, x))
+    assert np.array_equal(forward(loaded, x).preds, forward(model, x).preds)
 
 
 def test_checkpoint_rejects_bad_magic(tmp_path):

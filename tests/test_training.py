@@ -59,7 +59,7 @@ def test_train_fbeta_objective_improves_over_init():
                          max_epochs=60, window=10, seed=2)
     model = fresh_model(split, config, dropout=0.0)
     init_val = objective_loss(
-        LabeledBatch(forward(model, split.validation.features),
+        LabeledBatch(forward(model, split.validation.features).preds,
                      split.validation.labels), config.loss)[0]
     report = train(model, split, config)
     assert report.best_val_loss < init_val
@@ -93,7 +93,7 @@ def test_train_fixed_seed_reproduces_report_and_model():
 def validation_loss_of(value):
     """A stand-in for ``_epoch_validation_loss`` that reports ``value``."""
     def validate(model, split, config):
-        return value, forward(model, split.validation.features)
+        return value, forward(model, split.validation.features).preds
     return validate
 
 
@@ -117,7 +117,7 @@ def test_best_epoch_parameters_are_restored():
     assert report.best_val_loss == min(report.val_loss)
     assert report.val_loss[report.best_epoch - 1] == report.best_val_loss
     # the restored parameters reproduce the recorded best validation loss
-    preds = forward(model, split.validation.features)
+    preds = forward(model, split.validation.features).preds
     recomputed = objective_loss(
         LabeledBatch(preds, split.validation.labels), config.loss)[0]
     assert recomputed == pytest.approx(report.best_val_loss, abs=1e-12)
