@@ -83,13 +83,13 @@ _SHARED = ("dataset", "label_column", "positive_value", "seed", "out",
            "format")
 _TRAINING = _SHARED + ("tau", "tau_grid", "delta", "batch_size", "epochs",
                        "window", "lr", "dropout")
-_LOSS = ("loss", "beta", "approximation")
+_LOSS = ("loss", "approximation")
 
 COMMANDS = {
     "train": Command("_train_single", _TRAINING + _LOSS, "f_1",
                      writes=("checkpoint", "report"), one_loss=True),
     "evaluate": Command("_evaluate_checkpoint",
-                        _SHARED + ("loss", "beta", "tau_grid"), "f_1",
+                        _SHARED + ("loss", "tau_grid"), "f_1",
                         reads=("checkpoint",), one_loss=True),
     "batch-sweep": Command("run_batch_sweep", _TRAINING + _LOSS, "f_1",
                            one_loss=True),
@@ -98,7 +98,7 @@ COMMANDS = {
     "fbeta-sweep": Command("run_fbeta_sweep",
                            _TRAINING + ("betas", "approximation", "trials")),
     "sigmoid-compare": Command("run_sigmoid_compare",
-                               _TRAINING + ("loss", "beta", "trials"),
+                               _TRAINING + ("loss", "trials"),
                                "accuracy,f_1"),
 }
 
@@ -125,9 +125,7 @@ SETTINGS = {
                      "dims, keep) or a CSV path"),
     "label_column": (str, "CSV column holding the label"),
     "positive_value": (str, "label value of the positive class"),
-    "loss": (_comma(str), "comma list: accuracy, auroc, bce, f_beta, "
-                          "f_<number>"),
-    "beta": (float, "beta of the f_beta loss token"),
+    "loss": (_comma(str), "comma list: accuracy, auroc, bce, f_<beta>"),
     "betas": (_comma(float), "comma list for fbeta-sweep"),
     "tau": (float, "training threshold"),
     "tau_grid": (_comma(float), "comma list of evaluation thresholds"),

@@ -87,6 +87,16 @@ class SplitDataset:
     scale: np.ndarray
 
 
+def check_blobs(n_per_class: int, sigma: float, dims: int) -> None:
+    """Refuse generate_blobs parameters it cannot draw a dataset from."""
+    if n_per_class < 1:
+        raise ValueError(f"n_per_class must be >= 1, got {n_per_class}")
+    if not 0.0 < sigma < math.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
+    if dims < 1:
+        raise ValueError(f"dims must be >= 1, got {dims}")
+
+
 def generate_blobs(n_per_class: int = 5000, sigma: float = 10.0,
                    dims: int = 3, seed: int = 0) -> Dataset:
     """Two isotropic Gaussian clusters, negatives first, one per class.
@@ -95,12 +105,7 @@ def generate_blobs(n_per_class: int = 5000, sigma: float = 10.0,
     separation equals one standard deviation, so the classes overlap
     substantially and the task is learnable but not saturable.
     """
-    if n_per_class < 1:
-        raise ValueError(f"n_per_class must be >= 1, got {n_per_class}")
-    if sigma <= 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    if dims < 1:
-        raise ValueError(f"dims must be >= 1, got {dims}")
+    check_blobs(n_per_class, sigma, dims)
     rng = np.random.default_rng(np.random.SeedSequence([seed, _TAG_BLOBS]))
     neg = rng.normal(loc=0.0, scale=sigma, size=(n_per_class, dims))
     pos = rng.normal(loc=10.0, scale=sigma, size=(n_per_class, dims))

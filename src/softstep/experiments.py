@@ -9,7 +9,6 @@ failed cell becomes an explicit error row instead of aborting siblings.
 
 from __future__ import annotations
 
-import re
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -20,6 +19,7 @@ from softstep.confusion import hard_counts
 from softstep.data import (
     Dataset,
     SplitDataset,
+    check_blobs,
     generate_blobs,
     load_csv,
     standardize_and_split,
@@ -44,27 +44,25 @@ BETAS_DEFAULT = (1.0, 2.0, 3.0)
 # their own modules
 _TAG_MODEL_INIT = 7
 
-_F_TOKEN = re.compile(r"^f_(-?\d+(?:\.\d+)?)$")
 
-
-def parse_loss_token(token: str, default_beta: float = 1.0):
+def parse_loss_token(token: str):
     """Map a loss name to (canonical label, objective, beta).
 
-    Accepted: accuracy, auroc, bce, f_beta (uses the configured beta),
-    or an explicit f_<number> such as f_1, f_2, f_0.5.  LossConfig checks
-    the beta.
+    Accepted: accuracy, auroc, bce, or f_<x> with x read by ``float``,
+    such as f_1, f_0.5 or f_1e+200; the label is "f_%g" % beta.
+    LossConfig checks the beta.
     """
     token = token.strip()
     if token in ("accuracy", "auroc", "bce"):
-        return token, token, default_beta
-    if token == "f_beta":
-        return "f_%g" % default_beta, "f_beta", default_beta
-    match = _F_TOKEN.match(token)
-    if match:
-        beta = float(match.group(1))
-        return "f_%g" % beta, "f_beta", beta
+        return token, token, 1.0
+    try:
+        if token.startswith("f_"):
+            beta = float(token[2:])
+            return "f_%g" % beta, "f_beta", beta
+    except ValueError:
+        pass
     raise ValueError(f"unknown loss {token!r}; expected accuracy, auroc, "
-                     "bce, f_beta, or f_<number>")
+                     "bce or f_<number>")
 
 
 @dataclass(frozen=True)
@@ -87,12 +85,7 @@ class DatasetSource:
             if (self.label_column, self.positive_value) != (None, None):
                 raise ValueError("label_column and positive_value name a "
                                  "CSV's label; a blobs dataset takes neither")
-            if self.n_per_class < 1:
-                raise ValueError("n_per_class must be >= 1")
-            if not self.sigma > 0:
-                raise ValueError("sigma must be positive")
-            if self.dims < 1:
-                raise ValueError("dims must be >= 1")
+            check_blobs(self.n_per_class, self.sigma, self.dims)
             if self.keep_fraction is not None and not (
                     0 < self.keep_fraction <= 1):
                 raise ValueError("keep_fraction must be in (0, 1]")
@@ -171,7 +164,6 @@ class ExperimentSpec:
     command: str
     dataset: DatasetSource = field(default_factory=DatasetSource)
     losses: tuple[str, ...] = ("f_1",)
-    beta: float = 1.0
     betas: tuple[float, ...] = BETAS_DEFAULT
     tau: float = 0.5
     tau_grid: tuple[float, ...] = TAU_GRID_DEFAULT
@@ -214,11 +206,11 @@ class ExperimentSpec:
         """The (row label, LossConfig) pairs the command trains, in order."""
         families = (APPROXIMATIONS if self.command == "sigmoid-compare"
                     else (self.approximation,))
-        # beta, each of betas and each loss token first, also where no
-        # cell reads them, so any command names the same bad setting
-        for token in ("f_beta", *self.losses):
+        # every loss token, then each of betas by its exact repr, also
+        # where no cell reads them, so any command names the same bad setting
+        for token in self.losses:
             loss_config_for(self, token, families[0])
-        by_beta = tuple(loss_config_for(self, "f_beta", families[0], beta)
+        by_beta = tuple(loss_config_for(self, f"f_{beta!r}", families[0])
                         for beta in self.betas)
         if self.command == "fbeta-sweep":
             return by_beta
@@ -285,16 +277,10 @@ class ResultTable(Artifact):
 # ------------------------------------------------------------ trial plumbing
 
 
-def loss_config_for(spec: ExperimentSpec, token: str, approximation: str,
-                    beta: float | None = None) -> tuple[str, LossConfig]:
-    """The row label and LossConfig of a loss token.
-
-    ``beta`` stands in for spec.beta as the beta of the ``f_beta`` token, so
-    fbeta-sweep trains at exactly each of its betas ("f_%g" is only the
-    label).
-    """
-    label, objective, beta = parse_loss_token(
-        token, spec.beta if beta is None else beta)
+def loss_config_for(spec: ExperimentSpec, token: str,
+                    approximation: str) -> tuple[str, LossConfig]:
+    """The row label and LossConfig of a loss token."""
+    label, objective, beta = parse_loss_token(token)
     return label, LossConfig(objective=objective, beta=beta,
                              tau_train=spec.tau, tau_grid=spec.tau_grid,
                              delta=spec.delta, approximation=approximation)

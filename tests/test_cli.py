@@ -45,14 +45,14 @@ def runners_unreached(monkeypatch):
 def test_flags_reach_the_spec():
     spec = build_spec(parse([
         "loss-grid", "--dataset", TOY_DATA, "--loss", "f_2,accuracy",
-        "--beta", "2", "--tau", "0.4", "--tau-grid", "0.2,0.5,0.8",
+        "--tau", "0.4", "--tau-grid", "0.2,0.5,0.8",
         "--delta", "0.2", "--approximation", "sigmoid_fit",
         "--trials", "4", "--seed", "9", "--epochs", "50", "--window", "7",
         "--lr", "0.01", "--dropout", "0.25", "--format", "json"]))
     assert spec.command == "loss-grid"
     assert spec.dataset.n_per_class == 120
     assert spec.losses == ("f_2", "accuracy")
-    assert spec.beta == 2.0
+    assert [loss.beta for _, loss in spec.cells] == [2.0, 1.0]
     assert spec.tau == 0.4
     assert spec.tau_grid == (0.2, 0.5, 0.8)
     assert spec.delta == 0.2
@@ -166,7 +166,7 @@ def test_single_model_commands_take_one_loss(tmp_path, capsys, command):
 # one value per setting, unlike its default and unlike CSV_FLAGS
 SAMPLES = {
     "dataset": "e.csv", "label_column": "z", "positive_value": "yes",
-    "loss": "f_2,accuracy", "beta": "2", "betas": "1,4", "tau": "0.4",
+    "loss": "f_2,accuracy", "betas": "1,4", "tau": "0.4",
     "tau_grid": "0.2,0.7", "delta": "0.2", "approximation": "sigmoid_fit",
     "batch_size": "32", "trials": "3", "seed": "9", "epochs": "20",
     "window": "5", "lr": "0.01", "dropout": "0.25", "out": "x.tsv",
@@ -221,6 +221,23 @@ def test_setting_a_command_does_not_read_is_refused(tmp_path, capsys,
     config.write_text(f"[{command}]\n{key} = {SAMPLES[key]}\n")
     assert main([*command_argv(command), "--config", str(config)]) == 1
     assert (f"error: {config}: [{command}] has unknown keys: {key}\n"
+            == capsys.readouterr().err)
+    assert os.listdir(tmp_path) == ["exp.ini"]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_beta_is_set_only_by_the_loss_token(tmp_path, capsys, monkeypatch,
+                                            runners_unreached, command):
+    monkeypatch.chdir(tmp_path)
+    assert main([*command_argv(command), "--beta", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: softstep {command} ")
+    assert (f"\nsoftstep {command}: error: unrecognized arguments: "
+            "--beta 2\n" in err)
+    config = tmp_path / "exp.ini"
+    config.write_text("[DEFAULT]\nbeta = 2\n")
+    assert main([*command_argv(command), "--config", str(config)]) == 1
+    assert (f"error: {config}: [DEFAULT] has unknown keys: beta\n"
             == capsys.readouterr().err)
     assert os.listdir(tmp_path) == ["exp.ini"]
 
@@ -485,7 +502,7 @@ def test_failed_writes_leave_old_artifacts_intact(tmp_path, failing_writes,
 
 
 def test_fbeta_sweep_accepts_a_beta_without_a_loss_token(tmp_path):
-    # 1e-05 prints as f_1e-05, which is no f_<number> token; it is a label
+    # the cell trains at exactly 1e-05; f_1e-05 is its label
     out = tmp_path / "sweep.tsv"
     assert main(["fbeta-sweep", "--dataset", TOY_DATA,
                  "--betas", "0.00001,1", *FAST, *ONE_TRIAL,
@@ -496,9 +513,8 @@ def test_fbeta_sweep_accepts_a_beta_without_a_loss_token(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
-    ["train", "--loss", "f_beta", "--beta", "inf"],
-    ["evaluate", "--loss", "f_beta", "--beta", "inf",
-     "--checkpoint", "m.ckpt"],
+    ["train", "--loss", "f_inf"],
+    ["evaluate", "--loss", "f_inf", "--checkpoint", "m.ckpt"],
     ["fbeta-sweep", "--betas", "1,inf"],
 ])
 def test_beta_whose_square_overflows_is_refused_before_training(
@@ -508,10 +524,11 @@ def test_beta_whose_square_overflows_is_refused_before_training(
     assert "error: beta must be finite, got inf\n" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("beta, shown", [("nan", "nan"), ("0", "0.0")])
+@pytest.mark.parametrize("beta, shown", [("nan", "nan"), ("0", "0.0"),
+                                         ("-2", "-2.0")])
 def test_beta_that_is_not_positive_is_refused_before_training(
         capsys, runners_unreached, beta, shown):
-    assert main(["train", "--loss", "f_beta", "--beta", beta,
+    assert main(["train", "--loss", f"f_{beta}",
                  "--dataset", TOY_DATA]) == 1
     assert f"error: beta must be positive, got {shown}\n" \
         in capsys.readouterr().err
@@ -521,7 +538,7 @@ def test_beta_1e100_trains_and_moves_its_weights(tmp_path):
     # the count form squared (1 + beta²)·tp to inf here, so every gradient
     # was exactly 0 and the weights never moved
     ckpt = tmp_path / "m.ckpt"
-    assert main(["train", "--loss", "f_beta", "--beta", "1e100",
+    assert main(["train", "--loss", "f_1e100",
                  "--dataset", TOY_DATA, *FAST,
                  "--checkpoint", str(ckpt)]) == 0
     spec = build_spec(parse(["train", "--dataset", TOY_DATA, *FAST]))
@@ -530,7 +547,7 @@ def test_beta_1e100_trains_and_moves_its_weights(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
-    ["train", "--loss", "f_beta", "--beta", "1e200"],
+    ["train", "--loss", "f_1e200"],
     ["fbeta-sweep", "--betas", "1,1e200", *ONE_TRIAL],
 ])
 def test_beta_1e200_trains_and_scores(tmp_path, argv):

@@ -94,8 +94,11 @@ def test_generate_blobs_fixed_centers_and_validation():
         data.features[data.labels == 1.0].mean(axis=0), 10.0, atol=0.5)
     with pytest.raises(ValueError):
         generate_blobs(n_per_class=0)
-    with pytest.raises(ValueError):
-        generate_blobs(sigma=0.0)
+    # an infinite sigma would draw infinite features
+    for sigma in (math.nan, math.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match="sigma must be positive and "
+                                             f"finite, got {sigma}"):
+            generate_blobs(sigma=sigma)
     with pytest.raises(ValueError):
         generate_blobs(dims=0)
 

@@ -1,8 +1,11 @@
 import json
 import multiprocessing
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import softstep.experiments
 from softstep.cli import COMMANDS
@@ -54,11 +57,14 @@ def test_parse_loss_token_fixed_names():
 
 
 def test_parse_loss_token_beta_forms():
-    assert parse_loss_token("f_beta", 2.0) == ("f_2", "f_beta", 2.0)
     assert parse_loss_token("f_1") == ("f_1", "f_beta", 1.0)
     assert parse_loss_token("f_2.5") == ("f_2.5", "f_beta", 2.5)
-    with pytest.raises(ValueError):
-        parse_loss_token("hinge")
+    # the number is read by float, so an exponent form is a token too
+    assert parse_loss_token("f_1e200") == ("f_1e+200", "f_beta", 1e200)
+    assert parse_loss_token("f_1e+200") == ("f_1e+200", "f_beta", 1e200)
+    for token in ("hinge", "f_beta", "f_", "f_2x", "F_2"):
+        with pytest.raises(ValueError, match="unknown loss"):
+            parse_loss_token(token)
     # LossConfig checks the beta of every token
     with pytest.raises(ValueError, match="beta must be positive, got 0.0"):
         loss_config_for(toy_spec("train"), "f_0", "piecewise")
@@ -104,6 +110,9 @@ def test_dataset_source_validation():
     (dict(dims=0), "dims must be >= 1"),
     (dict(kind="csv", label_column="y", positive_value="1"),
      "csv source needs a path"),
+    # generate_blobs' rule and wording, checked at spec time
+    *((dict(sigma=sigma), f"sigma must be positive and finite, got {sigma}")
+      for sigma in (float("nan"), float("inf"), 0.0, -1.0)),
 ])
 def test_dataset_source_refusal_messages(fields, message):
     with pytest.raises(ValueError, match=message):
@@ -161,7 +170,7 @@ def test_spec_defaults_follow_stated_protocol():
     dict(command="teleport"),
     dict(losses=()),
     dict(losses=("hinge",)),
-    dict(beta=0.0),
+    dict(losses=("f_0",)),
     dict(betas=(1.0, -2.0)),
     dict(tau=1.0),
     dict(tau_grid=(0.1, 1.2)),
@@ -198,14 +207,15 @@ def test_spec_cells_are_the_rows_the_command_trains():
     assert cells(command="sigmoid-compare", losses=("accuracy", "f_2")) == [
         ("accuracy", 1.0, "piecewise"), ("accuracy", 1.0, "sigmoid_fit"),
         ("f_2", 2.0, "piecewise"), ("f_2", 2.0, "sigmoid_fit")]
-    assert cells(command="loss-grid", losses=("auroc", "f_beta"), beta=3.0,
+    # a loss other than f_<beta> scores its F row at beta 1
+    assert cells(command="loss-grid", losses=("auroc", "f_3"),
                  approximation="sigmoid_fit") == [
-        ("auroc", 3.0, "sigmoid_fit"), ("f_3", 3.0, "sigmoid_fit")]
+        ("auroc", 1.0, "sigmoid_fit"), ("f_3", 3.0, "sigmoid_fit")]
 
 
 @pytest.mark.parametrize("fields, message", [
-    # beta is checked before the loss tokens, and they before betas
-    (dict(command="loss-grid", beta=0.0, losses=("hinge",)),
+    # the loss tokens are checked in order, and they before betas
+    (dict(command="loss-grid", losses=("f_0", "hinge")),
      "beta must be positive, got 0.0"),
     (dict(command="loss-grid", losses=("hinge",), betas=(-2.0,)),
      "unknown loss 'hinge'"),
@@ -346,6 +356,16 @@ def test_fbeta_sweep_trains_at_the_exact_beta(monkeypatch):
     assert trained == [1.23456789, 0.00001, 2.0]
     assert [r.loss for r in table.rows[::3]] == ["f_1.23457", "f_1e-05",
                                                  "f_2"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(min_value=5e-324, max_value=sys.float_info.max))
+def test_fbeta_token_round_trips_every_positive_finite_beta(beta):
+    # the token fbeta-sweep builds gives back exactly beta, and the row
+    # label, rounded to 6 digits, is itself a token
+    label, objective, parsed = parse_loss_token(f"f_{beta!r}")
+    assert (label, objective, parsed) == ("f_%g" % beta, "f_beta", beta)
+    assert parse_loss_token(label)[:2] == (label, "f_beta")
 
 
 @pytest.mark.parametrize("command", COMMANDS)

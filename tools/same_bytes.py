@@ -85,6 +85,12 @@ MATRIX = {
     # refused at spec time: exit 1
     "train-refused-beta": [
         ["train", "--dataset", TOY, "--loss", "f_beta", "--beta", "inf"]],
+    "train-refused-f-inf": [["train", "--dataset", TOY, "--loss", "f_inf"]],
+    # a tau the logistic fit reaches only by its retry from k = slope_mid;
+    # the sigmoid_fit cells train and stall, so error rows and exit 2
+    "sigmoid-compare-tau-0.0003": [
+        ["sigmoid-compare", "--dataset", TOY, "--tau", "0.0003",
+         "--trials", "1", *FAST, "--seed", "0", "--out", "compare.tsv"]],
     "bench-grid-small-batch": [
         ["loss-grid", "--dataset", IMBALANCED,
          "--loss", "accuracy,f_1,auroc", "--batch-size", "256",
