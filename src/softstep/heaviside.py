@@ -205,17 +205,22 @@ class SigmoidFit:
 def logistic(z):
     """Elementwise 1 / (1 + exp(-z)), overflow-safe for any z."""
     z = np.asarray(z, dtype=float)
-    # exp of a non-positive argument cannot overflow; each branch is the
-    # usual stable form for its sign of z
-    e = np.exp(-np.abs(z))
-    denominator = 1.0 + e
-    return np.where(z >= 0, 1.0 / denominator, e / denominator)
+    # e = exp(-|z|) cannot overflow; z >= 0 takes 1 / (1 + e) and z < 0
+    # takes e / (1 + e), so the numerator is max([z >= 0], e): one division
+    e = np.abs(z, out=np.empty_like(z))
+    np.exp(np.negative(e, out=e), out=e)
+    value = np.greater_equal(z, 0.0, out=np.empty_like(z))
+    np.maximum(value, e, out=value)
+    value /= np.add(e, 1.0, out=e)
+    return value
 
 
 def _sigmoid(arr, fit):
     """Logistic values and their derivatives k * s * (1 - s) at ``arr``."""
     s = logistic(fit.k * (arr - fit.tau))
-    return s, fit.k * s * (1.0 - s)
+    grad = fit.k * s
+    grad *= 1.0 - s
+    return s, grad
 
 
 def sigmoid_approx(p, fit: SigmoidFit):

@@ -150,7 +150,7 @@ def accuracy_loss(batch: LabeledBatch, config: LossConfig):
 
 
 def _require_both_classes(batch):
-    n_pos = int(np.sum(batch.labels == 1.0))
+    n_pos = np.count_nonzero(batch.labels)
     if n_pos == 0 or n_pos == batch.n:
         raise UndefinedMetricError(
             "AUROC needs at least one positive and one negative sample")

@@ -30,10 +30,17 @@ ADAM_BETA2 = 0.999
 ADAM_STABILITY = 1e-8
 
 
-def check_dropout(rate: float) -> None:
-    """Refuse a dropout rate outside [0, 1)."""
+def check_dropout(rate: float) -> tuple[int, int]:
+    """The rate as the masks draw it, rounded to the nearest m / 2^16 (ties
+    down), as m / 2^k in lowest terms (0, 0 drops nothing). ValueError
+    outside [0, 1) and above 1 - 2^-17, which would round to 1."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout must lie in [0, 1), got {rate}")
+    m = math.ceil(rate * 65536 - 0.5)
+    if m == 65536:
+        raise ValueError(f"dropout {rate} rounds to 1 in steps of 2^-16")
+    zeros = (m & -m).bit_length() - 1 if m else 16    # trailing zero bits
+    return m >> zeros, 16 - zeros
 
 
 @dataclass
@@ -110,7 +117,7 @@ def _interleave(weights, biases) -> list:
 class Pass(NamedTuple):
     """What backward() reads of one forward pass: the (n,) predictions, the
     input, each hidden layer's output after ReLU and dropout, and each
-    layer's dropout mask (None where none was applied)."""
+    layer's float mask scale * keep * [z > 0] (None without dropout)."""
 
     preds: np.ndarray
     x: np.ndarray
@@ -123,7 +130,9 @@ def forward(model: MlpModel, features: np.ndarray, train_mode: bool = False,
     """The Pass of a feature matrix of shape (n, input_dim); preds in (0,1).
 
     train_mode applies inverted dropout after each hidden ReLU and requires
-    an rng; eval mode is deterministic. The model is not changed.
+    an rng; eval mode is deterministic. The model is not changed. At a rate
+    m / 2^k a unit is kept when k bits of ``rng.bytes`` read as u give
+    u >= m (README, "Forward pass"), and scaled by 2^k / (2^k - m).
     """
     x = np.asarray(features, dtype=float)
     if x.ndim != 2:
@@ -134,24 +143,26 @@ def forward(model: MlpModel, features: np.ndarray, train_mode: bool = False,
     if train_mode and rng is None:
         raise ValueError("train_mode forward needs an rng for dropout masks")
 
-    hidden = []
-    masks = []
+    hidden, masks = [], []
     activ = x
     for layer in (0, 1):
         # one array per layer: the affine map, then ReLU and dropout in place
         relu = activ @ model.weights[layer]
         relu += model.biases[layer]
-        np.maximum(relu, 0.0, out=relu)
-        rate = model.dropout_rates[layer]
-        if train_mode and rate > 0.0:
-            # the same doubles as rng.uniform(size=...), turned into the
-            # float mask in place
-            mask = rng.random(relu.shape)
-            np.greater_equal(mask, rate, out=mask)
-            mask *= 1.0 / (1.0 - rate)
-            relu *= mask
+        m, k = check_dropout(model.dropout_rates[layer])
+        mask = None
+        if train_mode and m:
+            runs = np.frombuffer(rng.bytes(k * -(-relu.size // 8)),
+                                 np.uint8).reshape(k, -1)
+            keep = runs[0]    # u >= m on bits 0..t, from bit 0 (m is odd)
+            for t in range(1, k):
+                keep = runs[t] & keep if m >> t & 1 else runs[t] | keep
+            keep = np.unpackbits(keep, count=relu.size, bitorder="little")
+            keep &= relu.ravel() > 0.0
+            mask = keep.reshape(relu.shape) * (2.0 ** k / (2 ** k - m))
+            relu *= mask    # the ReLU as well: -0.0 where z < 0
         else:
-            mask = None
+            np.maximum(relu, 0.0, out=relu)
         hidden.append(relu)
         masks.append(mask)
         activ = relu
@@ -215,13 +226,11 @@ def backward(model: MlpModel, loss_grad: np.ndarray, fwd: Pass) -> np.ndarray:
 
     dz = (loss_grad * preds * (1.0 - preds))[:, None]
     grads = [fwd.hidden[1].T @ dz, dz.sum(axis=0)]    # w2, b2
-    da = dz @ model.weights[2].T
+    da = dz * model.weights[2][:, 0]    # dz @ w2.T, one product an entry
     for layer in (1, 0):
-        if fwd.masks[layer] is not None:
-            da *= fwd.masks[layer]
-        # a > 0 is z > 0 wherever the mask kept the unit; where it dropped
-        # the unit, da is already zero
-        da *= fwd.hidden[layer] > 0.0
+        # a train pass's mask holds the ReLU gate; else a > 0 is z > 0
+        mask = fwd.masks[layer]
+        da *= fwd.hidden[layer] > 0.0 if mask is None else mask
         inputs = fwd.hidden[0] if layer == 1 else fwd.x
         grads += [inputs.T @ da, da.sum(axis=0)]
         if layer == 1:

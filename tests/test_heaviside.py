@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from softstep.heaviside import (
     ApproximationStack,
@@ -14,6 +17,7 @@ from softstep.heaviside import (
     cached_stack,
     fit_sigmoid,
     heaviside_approx,
+    logistic,
     heaviside_approx_grad,
     lookup,
     sigmoid_approx,
@@ -270,6 +274,45 @@ def test_sigmoid_overflow_safe():
     assert np.all(np.isfinite(vals))
     assert vals[0] == pytest.approx(0.0, abs=1e-300)
     assert vals[-1] == pytest.approx(1.0, abs=1e-12)
+
+
+def two_division_logistic(z):
+    """The form logistic() had before it divided once per element."""
+    e = np.exp(-np.abs(z))
+    denominator = 1.0 + e
+    return np.where(z >= 0, 1.0 / denominator, e / denominator)
+
+
+# every double: normal and subnormal, +-0, +-inf, NaN and |z| up to 1e308
+ANY_DOUBLE = st.floats(allow_nan=True, allow_infinity=True,
+                       allow_subnormal=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(z=arrays(np.float64, st.integers(0, 64), elements=ANY_DOUBLE)
+       | arrays(np.float64, st.integers(0, 64),
+                elements=st.sampled_from([0.0, -0.0, np.inf, -np.inf,
+                                          np.nan, 5e-324, -5e-324,
+                                          1e308, -1e308, 36.7, -745.2])))
+def test_logistic_equals_the_two_division_form_bit_for_bit(z):
+    with np.errstate(all="ignore"):
+        assert logistic(z).tobytes() == two_division_logistic(z).tobytes()
+        for value in z[:3]:
+            assert (logistic(value).tobytes()
+                    == two_division_logistic(value).tobytes())
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=arrays(np.float64, st.integers(1, 64),
+                elements=st.floats(-1.0, 2.0)),
+       k=st.floats(1e-3, 1e4), tau=st.floats(0.0, 1.0))
+def test_sigmoid_value_and_grad_keep_the_reference_order(p, k, tau):
+    # s = logistic(k * (p - tau)) and k * s * (1 - s), in that order
+    stack = ApproximationStack([SigmoidFit(k=k, tau=tau, residual=0.0)])
+    value, grad = stack.value_and_grad(p)
+    s = two_division_logistic(k * (p - stack.tau))
+    assert value.tobytes() == s.tobytes()
+    assert grad.tobytes() == (k * s * (1.0 - s)).tobytes()
 
 
 def test_sigmoid_grad_matches_finite_differences():

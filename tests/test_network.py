@@ -1,3 +1,4 @@
+import math
 import struct
 
 import numpy as np
@@ -11,8 +12,10 @@ from softstep.network import (
     AdamState,
     EvalKernel,
     MlpModel,
+    Pass,
     adam_step,
     backward,
+    check_dropout,
     forward,
     load_checkpoint,
     save_checkpoint,
@@ -102,8 +105,14 @@ def test_forward_leaves_the_model_unchanged(train_mode):
 
 def test_dropout_expectation_matches_eval_preactivation():
     # inverted dropout: mean train-mode pre-activation of the second hidden
-    # layer over many masks equals the eval value, within 3 standard errors
-    model = toy_model(dropout=0.5, seed=11)
+    # layer over many masks equals the eval value, within 3 standard errors;
+    # 0.3 draws at its rounded rate and scale
+    for rate in (0.5, 0.3):
+        check_expectation_at(rate)
+
+
+def check_expectation_at(rate):
+    model = toy_model(dropout=rate, seed=11)
     x = np.random.default_rng(12).normal(size=(1, 3))
 
     def layer2_preactivation(fwd):
@@ -169,6 +178,71 @@ def test_backward_uses_only_the_pass_it_is_given():
     other = forward(model, batch_b)
     assert backward(model, loss_grad, fwd).tobytes() == clean.tobytes()
     assert not np.array_equal(backward(model, loss_grad, other), clean)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 4096),
+       log_scales=st.tuples(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0)))
+def test_broadcast_outer_product_equals_the_k1_matmul(seed, rows,
+                                                      log_scales):
+    # dz @ w.T with K = 1 is one product per entry, from gemm or (one row)
+    # gemv; BLAS adds that product to +0.0, so where it is -0.0 the matmul
+    # gives +0.0 and only the sign of that zero differs
+    rng = np.random.default_rng(seed)
+    dz_scale, w_scale = 10.0 ** np.array(log_scales)
+    dz = rng.normal(scale=dz_scale, size=(rows, 1))
+    w = rng.normal(scale=w_scale, size=(16, 1))
+    assert (dz * w[:, 0]).tobytes() == (dz @ w.T).tobytes()
+    dz[::3] = 0.0
+    assert np.array_equal(dz * w[:, 0], dz @ w.T)
+
+
+def gated_backward_reference(model, loss_grad, preds, x, hidden, masks):
+    """backward() as it was: each dropout mask, then the gate a > 0."""
+    dz = (loss_grad * preds * (1.0 - preds))[:, None]
+    grads = [hidden[1].T @ dz, dz.sum(axis=0)]
+    da = dz * model.weights[2][:, 0]
+    for layer in (1, 0):
+        da *= masks[layer]
+        da *= hidden[layer] > 0.0
+        inputs = hidden[0] if layer == 1 else x
+        grads += [inputs.T @ da, da.sum(axis=0)]
+        if layer == 1:
+            da = da @ model.weights[1].T
+    w2, b2, w1, b1, w0, b0 = grads
+    return np.concatenate((w0.ravel(), b0, w1.ravel(), b1, w2.ravel(), b2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 300),
+       scale=st.floats(1.0, 1e4), keep_rate=st.floats(0.0, 1.0),
+       log_scales=st.tuples(*[st.floats(-4.0, 4.0)] * 3))
+def test_folded_gate_backward_equals_the_gated_form_bit_for_bit(
+        seed, rows, scale, keep_rate, log_scales):
+    # any keep bits and scale, and pre-activations with exact zeros: the
+    # folded pass (scale * keep * [z > 0], hidden z * mask) against the
+    # old one (scale * keep, hidden relu(z) * mask, then a > 0)
+    rng = np.random.default_rng(seed)
+    x_scale, z_scale, g_scale = 10.0 ** np.array(log_scales)
+    model = toy_model(input_dim=4, dropout=0.5, seed=seed)
+    model.flat[:] = rng.normal(size=model.flat.size)
+    x = rng.normal(scale=x_scale, size=(rows, 4))
+    folded, hidden, old_masks, old_hidden = [], [], [], []
+    for width in (32, 16):
+        z = rng.normal(scale=z_scale, size=(rows, width))
+        z[rng.random(z.shape) < 0.1] = 0.0
+        keep = rng.random(z.shape) < keep_rate
+        mask = scale * (keep & (z > 0.0))
+        folded.append(mask)
+        hidden.append(z * mask)
+        old_masks.append(scale * keep)
+        old_hidden.append(np.maximum(z, 0.0) * (scale * keep))
+    preds = rng.uniform(size=rows)
+    loss_grad = rng.normal(scale=g_scale, size=rows)
+    fwd = Pass(preds, x, tuple(hidden), tuple(folded))
+    expected = gated_backward_reference(model, loss_grad, preds, x,
+                                        old_hidden, old_masks)
+    assert backward(model, loss_grad, fwd).tobytes() == expected.tobytes()
 
 
 def test_backward_zero_loss_grad_gives_zero_param_grads():
@@ -397,18 +471,91 @@ def test_model_refuses_layers_that_do_not_chain():
                  dropout_rates=(0.5, float("nan")))
 
 
-def test_train_mode_masks_are_the_uniform_threshold_masks():
-    # forward draws the same doubles as rng.uniform(size=shape) and keeps
-    # them as float masks scaled by 1/(1 - rate)
-    model = toy_model(dropout=0.3, seed=47)
+def reference_keep(stream, shape, rate):
+    """Keep bits by the rule, from a fresh generator's ``bytes``.
+
+    The rate rounds to the nearest m / 2^16, ties down, in lowest terms
+    m / 2^k; unit i reads bit i of each of k runs of ceil(units / 8)
+    bytes, run t giving bit t of its integer u, and is kept when u >= m.
+    """
+    m, k = math.ceil(rate * 2 ** 16 - 0.5), 16
+    while m % 2 == 0:
+        m, k = m // 2, k - 1
+    units = math.prod(shape)
+    runs = np.frombuffer(stream.bytes(k * math.ceil(units / 8)), np.uint8)
+    bits = np.unpackbits(runs.reshape(k, -1), axis=1, bitorder="little")
+    u = sum(bits[t, :units].astype(np.int64) << t for t in range(k))
+    return (u >= m).reshape(shape), 2.0 ** k / (2.0 ** k - m)
+
+
+def test_train_mode_masks_follow_the_bit_rule():
+    # the mask is scale * keep * [z > 0]: the dropout mask with the ReLU
+    # gate folded in; 0.3 rounds to 19661 / 65536
+    for rate, fraction in ((0.5, (1, 1)), (0.25, (1, 2)),
+                           (0.3, (19661, 16))):
+        assert check_dropout(rate) == fraction
+        check_masks_at(rate)
+
+
+def check_masks_at(rate):
+    model = toy_model(dropout=rate, seed=47)
     x = np.random.default_rng(48).normal(size=(9, 3))
     fwd = forward(model, x, train_mode=True, rng=np.random.default_rng(49))
-    reference = np.random.default_rng(49)
+    stream = np.random.default_rng(49)
+    activ = x
     for layer, width in enumerate((32, 16)):
-        expected = (reference.uniform(size=(9, width)) >= 0.3) / (1.0 - 0.3)
+        z = activ @ model.weights[layer] + model.biases[layer]
+        keep, scale = reference_keep(stream, (9, width), rate)
+        expected = scale * (keep & (z > 0.0))
         mask = fwd.masks[layer]
         assert mask.dtype == np.float64
         assert mask.tobytes() == expected.tobytes()
+        assert np.array_equal(fwd.hidden[layer], np.maximum(z, 0.0) * mask)
+        activ = fwd.hidden[layer]
+
+
+@pytest.mark.parametrize("rate", [0.5, 0.25, 0.3, 0.75, 0.1])
+def test_mask_bits_are_independent_bernoulli_draws(rate):
+    # every pre-activation is 1, so the masks show the keep bits alone;
+    # fixed seed, tolerances pinned at 3 to 5 standard errors of the
+    # 16-unit layer's estimates
+    model = toy_model(input_dim=2, dropout=rate, seed=0)
+    for weights, biases in zip(model.weights, model.biases):
+        weights[:] = 0.0
+        biases[:] = 1.0
+    fwd = forward(model, np.zeros((20_000, 2)), train_mode=True,
+                  rng=np.random.default_rng(50))
+    m, k = check_dropout(rate)
+    p_keep = 1.0 - m / 2 ** k
+    for mask in fwd.masks:
+        keep = mask > 0.0
+        assert abs(keep.mean() - p_keep) < 0.004
+        for first, second in ((keep[:, :-1], keep[:, 1:]),   # adjacent units
+                              (keep[:-1], keep[1:])):        # adjacent rows
+            assert abs((first & second).mean() - p_keep ** 2) < 0.004
+            assert abs(np.corrcoef(first.ravel(), second.ravel())[0, 1]) \
+                < 0.006
+
+
+def test_check_dropout_refuses_a_rate_that_rounds_to_one():
+    largest = 1.0 - 2.0 ** -17
+    assert check_dropout(largest) == (65535, 16)
+    for rate in (np.nextafter(largest, 1.0), 0.999999):
+        with pytest.raises(ValueError, match="rounds to 1"):
+            check_dropout(rate)
+        with pytest.raises(ValueError, match="rounds to 1"):
+            MlpModel.create(3, dropout=rate, rng=np.random.default_rng(0))
+
+
+def test_a_rate_that_rounds_to_zero_draws_no_mask():
+    assert check_dropout(2.0 ** -17) == (0, 0)
+    model = toy_model(dropout=2.0 ** -17, seed=51)
+    x = np.random.default_rng(52).normal(size=(5, 3))
+    rng = np.random.default_rng(53)
+    fwd = forward(model, x, train_mode=True, rng=rng)
+    assert fwd.masks == (None, None)
+    assert fwd.preds.tobytes() == forward(model, x).preds.tobytes()
+    assert rng.bytes(8) == np.random.default_rng(53).bytes(8)
 
 
 # -------------------------------------------------------------- checkpoints
