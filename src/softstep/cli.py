@@ -27,6 +27,7 @@ import argparse
 import configparser
 import os
 import sys
+from dataclasses import dataclass
 from typing import NamedTuple
 
 # BLAS on one thread unless the environment names a count, set before
@@ -45,12 +46,13 @@ from softstep.experiments import (
     run_fbeta_sweep,
     run_loss_grid,
     run_sigmoid_compare,
+    score,
     train_config_for,
     trial_model,
 )
-from softstep.metrics import MetricTable, json_text
+from softstep.metrics import Artifact, MetricTable, json_text
 from softstep.network import load_checkpoint, save_checkpoint
-from softstep.training import TrainReport, score_test_split, train
+from softstep.training import train
 
 
 class Command(NamedTuple):
@@ -224,29 +226,45 @@ def build_spec(args) -> ExperimentSpec:
                              for key, value in given.items()})
 
 
+@dataclass(frozen=True)
+class TrainOutput(Artifact):
+    """train's --out: the test table; in JSON, the --report summary less its
+    wall-clock ``duration_seconds``, so equal runs give equal bytes."""
+
+    table: MetricTable
+    summary: dict
+
+    def to_tsv(self) -> str:
+        return self.table.to_tsv()
+
+    def to_json(self) -> str:
+        return json_text({key: value for key, value in self.summary.items()
+                          if key != "duration_seconds"})
+
+
 def _train_single(spec: ExperimentSpec, checkpoint: str | None = None,
-                  report: str | None = None) -> TrainReport:
+                  report: str | None = None) -> TrainOutput:
     split = prepared_split(spec)
     label, loss = spec.cells[0]
     model = trial_model(spec, split.train.dims, spec.seed)
     result = train(model, split, train_config_for(spec, loss, spec.seed))
     if checkpoint:
         save_checkpoint(model, checkpoint)
+    table = score(model, split.test, loss.tau_grid, loss.beta)
+    summary = {**result.summary_dict(), "final_metrics": table.to_dict()}
     if report:
-        write_atomic(report,
-                     json_text(result.summary_dict()).encode("utf-8"))
+        write_atomic(report, json_text(summary).encode("utf-8"))
     print(f"trained {label} for {result.epochs_run} epochs "
           f"(best epoch {result.best_epoch}) "
           f"in {result.duration_seconds:.1f}s", file=sys.stderr)
-    return result
+    return TrainOutput(table, summary)
 
 
 def _evaluate_checkpoint(spec: ExperimentSpec,
                          checkpoint: str) -> MetricTable:
     model = load_checkpoint(checkpoint)
     _, loss = spec.cells[0]
-    return score_test_split(model, prepared_split(spec), loss.tau_grid,
-                            loss.beta)
+    return score(model, prepared_split(spec).test, loss.tau_grid, loss.beta)
 
 
 def _check_outputs(args, spec: ExperimentSpec, command: Command) -> None:

@@ -273,7 +273,8 @@ def standardize_and_split(data: Dataset, seed: int = 0) -> SplitDataset:
     """Shuffle, split by SPLIT_FRACTIONS, standardize with train statistics.
 
     Scale is the per-feature train standard deviation; features with
-    (near) zero variance get scale 1 so they pass through centered.
+    (near) zero variance get scale 1 so they pass through centered.  A
+    ValueError names the first feature (from 0) whose statistics overflow.
     """
     n = data.n
     n_train = int(round(SPLIT_FRACTIONS[0] * n))
@@ -288,8 +289,13 @@ def standardize_and_split(data: Dataset, seed: int = 0) -> SplitDataset:
     idx_val = perm[n_train:n_train + n_val]
     idx_test = perm[n_train + n_val:]
     train_feats = data.features[idx_train]
-    mean = train_feats.mean(axis=0)
-    scale = train_feats.std(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = train_feats.mean(axis=0)
+        scale = train_feats.std(axis=0)
+    overflowed = np.flatnonzero(~np.isfinite(mean) | ~np.isfinite(scale))
+    if overflowed.size:
+        raise ValueError(f"feature column {overflowed[0]}: its train-split "
+                         "mean or standard deviation overflows float64")
     scale = np.where(scale < _ZERO_VARIANCE_GUARD, 1.0, scale)
 
     def standardized(idx):

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from softstep.confusion import hard_counts
+from softstep.confusion import LabeledBatch, hard_counts
 from softstep.data import (
     Dataset,
     SplitDataset,
@@ -30,12 +30,14 @@ from softstep.metrics import (
     FORMATS,
     Artifact,
     LossConfig,
+    MetricTable,
     TAU_GRID_DEFAULT,
+    evaluate_over_grid,
     f_beta,
     json_text,
 )
-from softstep.network import EvalKernel, MlpModel, check_dropout
-from softstep.training import TrainConfig, score_test_split, train
+from softstep.network import EvalKernel, MlpModel, check_dropout, forward
+from softstep.training import TrainConfig, train
 
 BATCH_SIZES_DEFAULT = (128, 1024, 2048, 4096)
 BETAS_DEFAULT = (1.0, 2.0, 3.0)
@@ -301,23 +303,29 @@ def trial_model(spec: ExperimentSpec, dims: int, seed: int) -> MlpModel:
     return MlpModel.create(dims, dropout=spec.dropout, rng=rng)
 
 
+def score(model: MlpModel, data: Dataset, tau_grid,
+          beta: float) -> MetricTable:
+    """``evaluate_over_grid`` of eval-mode ``forward`` on data (not of
+    ``EvalKernel``, whose bits differ from it on one- and two-row data)."""
+    preds = forward(model, data.features).preds
+    return evaluate_over_grid(LabeledBatch(preds, data.labels), tau_grid,
+                              beta=beta)
+
+
 def _run_cell(spec: ExperimentSpec, split: SplitDataset,
               loss: LossConfig) -> list[dict[str, float]]:
     """Train spec.trials models for one (loss, approximation) cell.
 
-    Each trial keeps its test-split metrics averaged over the threshold
-    grid, plus AUROC, always at beta=1 so sweeps trained at other betas
-    stay comparable on the same F1 column.  A cell trained at beta=1 takes
-    the table train() scored; another beta scores the test split again.
+    Each trial scores the test split once, and keeps its metrics averaged
+    over the threshold grid, plus AUROC, always at beta=1 so sweeps
+    trained at other betas stay comparable on the same F1 column.
     """
     per_trial = []
     for index in range(spec.trials):
         trial_seed = spec.seed + index
         model = trial_model(spec, split.train.dims, trial_seed)
-        table = train(model, split,
-                      train_config_for(spec, loss, trial_seed)).final_metrics
-        if loss.beta != 1.0:
-            table = score_test_split(model, split, spec.tau_grid, beta=1.0)
+        train(model, split, train_config_for(spec, loss, trial_seed))
+        table = score(model, split.test, spec.tau_grid, beta=1.0)
         per_trial.append({row.name: row.value for row in table.rows
                           if row.tau == "mean" or row.name == "auroc"})
     return per_trial

@@ -5,7 +5,8 @@ batch kept), one optimizer step per batch. After each epoch the objective
 is evaluated on the full validation split with dropout off; training stops
 when the best validation loss has not improved for ``window`` consecutive
 epochs or at ``max_epochs``. The returned model carries the parameters of
-the best-validation epoch, not the last one.
+the best-validation epoch, not the last one. The test split is never read:
+``experiments.score`` scores it on the returned model.
 
 Ranking objectives need both classes in a batch; single-class mini-batches
 carry no signal for them, so those steps are skipped and counted instead of
@@ -15,21 +16,13 @@ aborting the run.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .confusion import LabeledBatch
 from .data import SplitDataset, batches
-from .metrics import (
-    Artifact,
-    LossConfig,
-    MetricTable,
-    UndefinedMetricError,
-    evaluate_over_grid,
-    json_text,
-    objective_loss,
-)
+from .metrics import LossConfig, UndefinedMetricError, objective_loss
 from .network import AdamState, MlpModel, adam_step, backward, forward
 
 _TAG_DROPOUT = 31
@@ -64,8 +57,8 @@ class TrainConfig:
 
 
 @dataclass(frozen=True)
-class TrainReport(Artifact):
-    """Loss histories plus the stopping decision and final test metrics."""
+class TrainReport:
+    """Loss histories, the stopping decision and the skipped batch count."""
 
     train_loss: tuple
     val_loss: tuple
@@ -73,40 +66,16 @@ class TrainReport(Artifact):
     best_epoch: int
     best_val_loss: float
     skipped_batches: int
-    final_metrics: MetricTable
     duration_seconds: float
 
     def summary_dict(self) -> dict:
+        """The fields as JSON values: a non-finite loss becomes None."""
         def clean(x):
             return float(x) if np.isfinite(x) else None
 
-        return {
-            "train_loss": [clean(v) for v in self.train_loss],
-            "val_loss": [clean(v) for v in self.val_loss],
-            "epochs_run": self.epochs_run,
-            "best_epoch": self.best_epoch,
-            "best_val_loss": clean(self.best_val_loss),
-            "skipped_batches": self.skipped_batches,
-            "duration_seconds": self.duration_seconds,
-            "final_metrics": self.final_metrics.to_dict(),
-        }
-
-    def to_tsv(self) -> str:
-        return self.final_metrics.to_tsv()
-
-    def to_json(self) -> str:
-        """The summary without its wall-clock time: equal runs, equal bytes."""
-        return json_text({key: value for key, value in
-                          self.summary_dict().items()
-                          if key != "duration_seconds"})
-
-
-def score_test_split(model: MlpModel, split: SplitDataset, tau_grid,
-                     beta: float) -> MetricTable:
-    """``evaluate_over_grid`` of the model's eval-mode test predictions."""
-    preds = forward(model, split.test.features).preds
-    return evaluate_over_grid(LabeledBatch(preds, split.test.labels),
-                              tau_grid, beta=beta)
+        return {**asdict(self), "best_val_loss": clean(self.best_val_loss),
+                "train_loss": [clean(v) for v in self.train_loss],
+                "val_loss": [clean(v) for v in self.val_loss]}
 
 
 def _finite_or_diverged(preds, context):
@@ -215,8 +184,6 @@ def train(model: MlpModel, split: SplitDataset, config: TrainConfig,
             f"objective {loss.objective}, surrogate {loss.approximation}, "
             f"{tau}")
     model.flat[:] = best_params
-    final = score_test_split(model, split, config.loss.tau_grid,
-                             config.loss.beta)
     return TrainReport(
         train_loss=tuple(train_hist),
         val_loss=tuple(val_hist),
@@ -224,6 +191,5 @@ def train(model: MlpModel, split: SplitDataset, config: TrainConfig,
         best_epoch=best_epoch,
         best_val_loss=float(best_val),
         skipped_batches=skipped,
-        final_metrics=final,
         duration_seconds=time.perf_counter() - started,
     )

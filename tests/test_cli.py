@@ -392,6 +392,51 @@ def test_train_then_evaluate_roundtrip(tmp_path, capsys):
     assert eval_out.read_text().startswith("metric\ttau\tvalue\tdefined")
 
 
+def test_train_json_is_the_report_without_its_duration(tmp_path):
+    # --out's JSON is the --report summary less duration_seconds, and its
+    # final_metrics is the table evaluate writes for the same flags
+    flags = ["--dataset", TOY_DATA, "--loss", "f_2", "--tau-grid", "0.3,0.6",
+             "--seed", "5", "--format", "json"]
+    ckpt, report = tmp_path / "m.ckpt", tmp_path / "report.json"
+    trained, evaluated = tmp_path / "train.json", tmp_path / "eval.json"
+    assert main(["train", *flags, *FAST[:6], "--checkpoint", str(ckpt),
+                 "--report", str(report), "--out", str(trained)]) == 0
+    assert main(["evaluate", *flags, "--checkpoint", str(ckpt),
+                 "--out", str(evaluated)]) == 0
+    summary, full = json.loads(trained.read_text()), json.loads(
+        report.read_text())
+    assert isinstance(full.pop("duration_seconds"), float)
+    assert summary == full
+    assert summary["final_metrics"] == json.loads(evaluated.read_text())
+    assert "f_2" in {row["metric"] for row in summary["final_metrics"]["rows"]}
+
+
+def run_cli(*argv):
+    """``python -m softstep.cli`` on this tree: (exit code, stderr)."""
+    src = str(Path(softstep.cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-m", "softstep.cli", *argv],
+                          env=env, capture_output=True, text=True)
+    return done.returncode, done.stderr
+
+
+@pytest.mark.parametrize("sigma, code", [("1e200", 1), ("1e150", 0)])
+def test_train_refuses_features_whose_statistics_overflow(tmp_path, sigma,
+                                                          code):
+    out = tmp_path / "out.tsv"
+    returned, err = run_cli("train", "--dataset",
+                            f"blobs:n_per_class=60,sigma={sigma}",
+                            "--epochs", "3", "--window", "3",
+                            "--out", str(out))
+    assert returned == code
+    assert "Warning" not in err
+    refusal = ("error: ValueError: feature column 0: its train-split mean "
+               "or standard deviation overflows float64\n")
+    assert (err == refusal) == (code == 1)
+    assert out.exists() == (code == 0)
+
+
 def test_train_and_evaluate_tables_match_for_the_same_flags(tmp_path):
     # evaluate takes the dataset and the scoring flags of train's
     ckpt = tmp_path / "model.ckpt"

@@ -3,6 +3,7 @@ import errno
 import math
 import os
 import re
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -443,6 +444,31 @@ def test_split_constant_feature_scale_guard():
     split = standardize_and_split(data, seed=23)
     assert split.scale[1] == 1.0
     assert np.all(np.abs(split.train.features[:, 1]) < 1e-9)
+
+
+def test_split_refuses_a_feature_whose_statistics_overflow():
+    rng = np.random.default_rng(29)
+    feats = rng.normal(size=(60, 3))
+    feats[:, 2] *= 1e200      # squared deviations pass the float range
+    data = Dataset(feats, rng.integers(0, 2, 60))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^feature column 2: its "
+                                             r"train-split mean or standard "
+                                             r"deviation overflows float64$"):
+            standardize_and_split(data, seed=29)
+        with pytest.raises(ValueError, match="^feature column 0: "):
+            standardize_and_split(generate_blobs(n_per_class=60,
+                                                 sigma=1e200, seed=29))
+
+
+def test_split_standardizes_large_but_finite_features():
+    data = generate_blobs(n_per_class=60, sigma=1e150, seed=31)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        split = standardize_and_split(data, seed=31)
+    assert np.all(np.isfinite(split.scale)) and np.all(split.scale > 1e149)
+    assert np.all(np.abs(split.train.features.var(axis=0) - 1.0) < 1e-9)
 
 
 def test_split_validation_errors():

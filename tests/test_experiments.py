@@ -31,7 +31,7 @@ from softstep.experiments import (
     train_config_for,
     trial_model,
 )
-from softstep.metrics import f_beta
+from softstep.metrics import evaluate_over_grid, f_beta
 from softstep.network import forward
 from softstep.training import train
 
@@ -382,6 +382,57 @@ def test_fbeta_sweep_beta_one_matches_loss_grid_cell():
     grid_f1 = next(r for r in grid.rows if r.metric == "f_1")
     assert sweep_f1.mean == grid_f1.mean
     assert sweep_f1.std == grid_f1.std
+
+
+@pytest.fixture
+def test_split_scoring(monkeypatch):
+    """Counts forwards of the test split and the betas tables are scored at.
+
+    ``forward`` and ``evaluate_over_grid`` are wrapped in every module
+    that imports them; a forward of the test split is one given the
+    prepared split's test features.
+    """
+    seen = {"splits": [], "test_forwards": 0, "betas": []}
+
+    def prepared(spec):
+        seen["splits"].append(prepared_split(spec))
+        return seen["splits"][-1]
+
+    def counted_forward(model, features, *args, **kwargs):
+        seen["test_forwards"] += any(features is split.test.features
+                                     for split in seen["splits"])
+        return forward(model, features, *args, **kwargs)
+
+    def counted_evaluate(batch, tau_grid, beta=1.0):
+        seen["betas"].append(beta)
+        return evaluate_over_grid(batch, tau_grid, beta=beta)
+
+    monkeypatch.setattr(softstep.experiments, "prepared_split", prepared)
+    wrappers = {forward: counted_forward,
+                evaluate_over_grid: counted_evaluate}
+    for module in (softstep.experiments, softstep.training):
+        for name, value in list(vars(module).items()):
+            if any(value is original for original in wrappers):
+                monkeypatch.setattr(module, name, wrappers[value])
+    return seen
+
+
+def test_fbeta_sweep_trial_at_beta_two_scores_the_test_split_once(
+        test_split_scoring):
+    table = run_fbeta_sweep(toy_spec("fbeta-sweep", betas=(2.0,), trials=1,
+                                     max_epochs=3, window=3))
+    assert all(row.status == "ok" for row in table.rows)
+    assert test_split_scoring["test_forwards"] == 1
+    assert test_split_scoring["betas"] == [1.0]
+
+
+def test_batch_sweep_scores_no_test_split(test_split_scoring):
+    table = run_batch_sweep(toy_spec("batch-sweep", batch_sizes=(64, 128),
+                                     max_epochs=3, window=3))
+    assert all(row.status == "ok" for row in table.rows)
+    assert len(test_split_scoring["splits"]) == 1
+    assert test_split_scoring["test_forwards"] == 0
+    assert test_split_scoring["betas"] == []
 
 
 def test_sigmoid_compare_produces_both_families():

@@ -3,11 +3,20 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import softstep.training
 from softstep.confusion import LabeledBatch
-from softstep.data import Dataset, generate_blobs, standardize_and_split
-from softstep.metrics import LossConfig, objective_loss
+from softstep.data import (
+    Dataset,
+    generate_blobs,
+    standardize_and_split,
+    subsample_positives,
+)
+from softstep.experiments import score
+from softstep.metrics import LossConfig, json_text, objective_loss
 from softstep.network import MlpModel, forward
 from softstep.training import (
     TrainConfig,
@@ -48,7 +57,8 @@ def test_train_bce_on_overlapping_blobs_stops_early():
     report = train(model, split, config)
     assert report.epochs_run < 300
     assert report.best_val_loss < 0.65
-    by_key = {(r.name, r.tau): r for r in report.final_metrics.rows}
+    table = score(model, split.test, config.loss.tau_grid, config.loss.beta)
+    by_key = {(r.name, r.tau): r for r in table.rows}
     assert by_key[("accuracy", 0.5)].value > 0.7
     assert by_key[("auroc", None)].value > 0.8
 
@@ -266,13 +276,53 @@ def test_auroc_objective_refuses_single_class_validation_split():
 def test_report_json_round_trips():
     config = TrainConfig(loss=LossConfig(objective="bce"), batch_size=64,
                          max_epochs=4, window=10, seed=17)
-    _, report = run(config)
-    payload = json.loads(report.to_json())
+    split = small_split(seed=config.seed)
+    model, report = run(config, split)
+    payload = json.loads(json_text(report.summary_dict()))
     assert payload["epochs_run"] == report.epochs_run
     assert payload["best_epoch"] == report.best_epoch
     assert len(payload["train_loss"]) == report.epochs_run
-    assert payload["final_metrics"] is not None
+    assert payload["duration_seconds"] == report.duration_seconds
+    table = score(model, split.test, config.loss.tau_grid, config.loss.beta)
+    assert json.loads(table.to_json())["rows"]
     assert isinstance(report, TrainReport)
+
+
+# --------------------------------------------------------------- test split
+
+# an auroc objective at batch 4 on 20% positives skips one-class batches
+BLIND_CONFIG = TrainConfig(loss=LossConfig(objective="auroc"), batch_size=4,
+                           max_epochs=6, window=3, seed=19)
+BLIND_SPLIT = standardize_and_split(subsample_positives(
+    generate_blobs(n_per_class=48, sigma=8.0, seed=19), 0.25, seed=19),
+    seed=19)
+
+
+def trained_bits(split):
+    """Every output of a training on ``split``, as bytes and integers."""
+    model = fresh_model(split, BLIND_CONFIG)
+    report = train(model, split, BLIND_CONFIG)
+    return (model.flat.tobytes(), np.array(report.train_loss).tobytes(),
+            np.array(report.val_loss).tobytes(), report.epochs_run,
+            report.best_epoch, np.float64(report.best_val_loss).tobytes(),
+            report.skipped_batches)
+
+
+BLIND_BITS = trained_bits(BLIND_SPLIT)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_training_never_reads_the_test_split(data):
+    rows = data.draw(st.integers(1, 40), label="test rows")
+    features = data.draw(arrays(
+        np.float64, (rows, BLIND_SPLIT.train.dims),
+        elements=st.floats(allow_nan=False, allow_infinity=False)))
+    labels = data.draw(arrays(np.float64, rows,
+                              elements=st.sampled_from([0.0, 1.0])))
+    split = dataclasses.replace(BLIND_SPLIT, test=Dataset(features, labels))
+    assert trained_bits(split) == BLIND_BITS
+    assert BLIND_BITS[-1] > 0    # skipped_batches is held to a count
 
 
 def test_train_config_validation():

@@ -77,6 +77,15 @@ MATRIX = {
          "--out", "train.tsv"],
         ["evaluate", "--dataset", TOY, "--loss", "f_1", "--seed", "0",
          "--checkpoint", "m.ckpt", "--out", "evaluate.tsv"]],
+    # at beta 2 train scores its test table at the loss's beta, apart from
+    # training; evaluate then scores the checkpoint the same way
+    "train-f2-json-report-evaluate": [
+        ["train", "--dataset", TOY, "--loss", "f_2", "--tau-grid", "0.3,0.6",
+         *FAST, "--seed", "0", "--format", "json", "--report", "report.json",
+         "--checkpoint", "m.ckpt", "--out", "train.json"],
+        ["evaluate", "--dataset", TOY, "--loss", "f_2",
+         "--tau-grid", "0.3,0.6", "--seed", "0", "--format", "json",
+         "--checkpoint", "m.ckpt", "--out", "evaluate.json"]],
     # the auroc cell fails on a one-class validation split: exit 2
     "loss-grid-partial-failure": [
         ["loss-grid", "--dataset", "blobs:n_per_class=50,keep=0.02",
