@@ -14,11 +14,13 @@ only.  Exit codes: 0 full success, 2 when some cells failed (error rows
 in the table), 1 on usage or spec errors or a fatal failure of a
 single-model command.
 
-Artifacts written to --out contain no wall-clock fields, so identical
-specs produce byte-identical files; timing goes to stderr and to the
-optional --report file.  --out, --report and --checkpoint files are
-checked before any work starts and replaced atomically; one that
-resolves to a file the command reads, or to another output, is refused.
+--out holds the command's table, a MetricTable or a ResultTable, which
+--format encodes as TSV or JSON.  It holds no wall-clock field, so
+identical specs produce byte-identical files; timing goes to stderr, and
+train's run diagnostics to the optional --report file.  --out, --report
+and --checkpoint files are checked before any work starts and replaced
+atomically; one that resolves to a file the command reads, or to another
+output, is refused.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ import argparse
 import configparser
 import os
 import sys
-from dataclasses import dataclass
 from typing import NamedTuple
 
 # BLAS on one thread unless the environment names a count, set before
@@ -40,6 +41,7 @@ for _variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
 from softstep.data import check_writable, write_atomic
 from softstep.experiments import (
     ExperimentSpec,
+    ResultTable,
     parse_dataset_source,
     prepared_split,
     run_batch_sweep,
@@ -50,7 +52,7 @@ from softstep.experiments import (
     train_config_for,
     trial_model,
 )
-from softstep.metrics import Artifact, MetricTable, json_text
+from softstep.metrics import MetricTable, json_text
 from softstep.network import load_checkpoint, save_checkpoint
 from softstep.training import train
 
@@ -61,7 +63,7 @@ class Command(NamedTuple):
     ``runner`` names a function of this module, looked up when the command
     runs so that a wrapper set on the module attribute is the one called.
     It takes the spec and each file flag as a keyword and returns the
-    Artifact for --out.  ``settings`` are the SETTINGS keys the command
+    table for --out.  ``settings`` are the SETTINGS keys the command
     reads.  ``losses`` is the default --loss of a command that reads one;
     a ``one_loss`` command refuses a --loss list.  The file flags a
     command ``reads`` are required, the ones it ``writes`` optional.
@@ -226,24 +228,8 @@ def build_spec(args) -> ExperimentSpec:
                              for key, value in given.items()})
 
 
-@dataclass(frozen=True)
-class TrainOutput(Artifact):
-    """train's --out: the test table; in JSON, the --report summary less its
-    wall-clock ``duration_seconds``, so equal runs give equal bytes."""
-
-    table: MetricTable
-    summary: dict
-
-    def to_tsv(self) -> str:
-        return self.table.to_tsv()
-
-    def to_json(self) -> str:
-        return json_text({key: value for key, value in self.summary.items()
-                          if key != "duration_seconds"})
-
-
 def _train_single(spec: ExperimentSpec, checkpoint: str | None = None,
-                  report: str | None = None) -> TrainOutput:
+                  report: str | None = None) -> MetricTable:
     split = prepared_split(spec)
     label, loss = spec.cells[0]
     model = trial_model(spec, split.train.dims, spec.seed)
@@ -251,13 +237,13 @@ def _train_single(spec: ExperimentSpec, checkpoint: str | None = None,
     if checkpoint:
         save_checkpoint(model, checkpoint)
     table = score(model, split.test, loss.tau_grid, loss.beta)
-    summary = {**result.summary_dict(), "final_metrics": table.to_dict()}
     if report:
+        summary = {**result.summary_dict(), "final_metrics": table.to_dict()}
         write_atomic(report, json_text(summary).encode("utf-8"))
     print(f"trained {label} for {result.epochs_run} epochs "
           f"(best epoch {result.best_epoch}) "
           f"in {result.duration_seconds:.1f}s", file=sys.stderr)
-    return TrainOutput(table, summary)
+    return table
 
 
 def _evaluate_checkpoint(spec: ExperimentSpec,
@@ -301,9 +287,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        artifact = globals()[command.runner](
+        table = globals()[command.runner](
             spec, **{flag: getattr(args, flag) for flag in command.files})
-        text = artifact.render(spec.format)
+        text = table.to_json() if spec.format == "json" else table.to_tsv()
         if spec.out:
             write_atomic(spec.out, text.encode("utf-8"))
         else:
@@ -311,7 +297,7 @@ def main(argv=None) -> int:
     except Exception as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    if artifact.has_errors:
+    if isinstance(table, ResultTable) and table.has_errors:
         print("warning: some cells failed; see error rows", file=sys.stderr)
         return 2
     return 0

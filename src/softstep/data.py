@@ -30,8 +30,6 @@ _TAG_SUBSAMPLE = 13
 _TAG_SPLIT = 17
 _TAG_BATCH = 23
 
-_ZERO_VARIANCE_GUARD = 1e-12
-
 # bytes per read while load_csv scans a file for what numpy reads otherwise
 _SCAN_CHUNK = 1 << 20
 
@@ -97,6 +95,13 @@ def check_blobs(n_per_class: int, sigma: float, dims: int) -> None:
         raise ValueError(f"dims must be >= 1, got {dims}")
 
 
+def check_keep_fraction(keep_fraction: float) -> None:
+    """Refuse a share of positives that subsample_positives cannot keep."""
+    if not 0.0 < keep_fraction <= 1.0:
+        raise ValueError(
+            f"keep_fraction must lie in (0, 1], got {keep_fraction}")
+
+
 def generate_blobs(n_per_class: int = 5000, sigma: float = 10.0,
                    dims: int = 3, seed: int = 0) -> Dataset:
     """Two isotropic Gaussian clusters, negatives first, one per class.
@@ -122,9 +127,7 @@ def subsample_positives(data: Dataset, keep_fraction: float,
     positives, preserving original row order. From a 10000-sample balanced
     base, keep 1/2 gives 7500 rows and keep 1/4 gives 6250.
     """
-    if not 0.0 < keep_fraction <= 1.0:
-        raise ValueError(
-            f"keep_fraction must lie in (0, 1], got {keep_fraction}")
+    check_keep_fraction(keep_fraction)
     pos_idx = np.flatnonzero(data.labels == 1.0)
     if len(pos_idx) == 0:
         raise ValueError("dataset has no positives to subsample")
@@ -272,9 +275,11 @@ def _parse_with_numpy(path, n_cells, label_pos, feature_pos, positive_value):
 def standardize_and_split(data: Dataset, seed: int = 0) -> SplitDataset:
     """Shuffle, split by SPLIT_FRACTIONS, standardize with train statistics.
 
-    Scale is the per-feature train standard deviation; features with
-    (near) zero variance get scale 1 so they pass through centered.  A
-    ValueError names the first feature (from 0) whose statistics overflow.
+    Scale is the per-feature train standard deviation; a feature whose
+    train max equals its min gets scale 1, so it passes through centered
+    whatever its units.  A ValueError names the first feature (from 0)
+    whose statistics overflow, or whose spread underflows to a zero
+    standard deviation.
     """
     n = data.n
     n_train = int(round(SPLIT_FRACTIONS[0] * n))
@@ -296,7 +301,14 @@ def standardize_and_split(data: Dataset, seed: int = 0) -> SplitDataset:
     if overflowed.size:
         raise ValueError(f"feature column {overflowed[0]}: its train-split "
                          "mean or standard deviation overflows float64")
-    scale = np.where(scale < _ZERO_VARIANCE_GUARD, 1.0, scale)
+    # exact, so the rule does not depend on the data's units: a column
+    # whose train rows all equal the first (max == min) gets scale 1
+    varies = (train_feats != train_feats[0]).any(axis=0)
+    underflowed = np.flatnonzero(varies & (scale == 0.0))
+    if underflowed.size:
+        raise ValueError(f"feature column {underflowed[0]}: its train-split "
+                         "standard deviation underflows to zero")
+    scale = np.where(varies, scale, 1.0)
 
     def standardized(idx):
         return Dataset((data.features[idx] - mean) / scale, data.labels[idx])

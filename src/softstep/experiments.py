@@ -20,6 +20,7 @@ from softstep.data import (
     Dataset,
     SplitDataset,
     check_blobs,
+    check_keep_fraction,
     generate_blobs,
     load_csv,
     standardize_and_split,
@@ -28,7 +29,6 @@ from softstep.data import (
 from softstep.metrics import (
     APPROXIMATIONS,
     FORMATS,
-    Artifact,
     LossConfig,
     MetricTable,
     TAU_GRID_DEFAULT,
@@ -88,9 +88,8 @@ class DatasetSource:
                 raise ValueError("label_column and positive_value name a "
                                  "CSV's label; a blobs dataset takes neither")
             check_blobs(self.n_per_class, self.sigma, self.dims)
-            if self.keep_fraction is not None and not (
-                    0 < self.keep_fraction <= 1):
-                raise ValueError("keep_fraction must be in (0, 1]")
+            if self.keep_fraction is not None:
+                check_keep_fraction(self.keep_fraction)
         else:
             if not self.path:
                 raise ValueError("csv source needs a path")
@@ -249,7 +248,7 @@ _COLUMNS = ("experiment", "loss", "approximation", "metric", "batch_size",
 
 
 @dataclass(frozen=True)
-class ResultTable(Artifact):
+class ResultTable:
     rows: tuple[ResultRow, ...]
 
     @property

@@ -231,26 +231,13 @@ def auroc_hard(batch: LabeledBatch) -> float:
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
-class Artifact:
-    """What a command writes to --out; subclasses give to_tsv and to_json."""
-
-    has_errors = False
-
-    def render(self, fmt: str) -> str:
-        if fmt == "tsv":
-            return self.to_tsv()
-        if fmt == "json":
-            return self.to_json()
-        raise ValueError(f"unknown format {fmt!r}")
-
-
 def json_text(payload) -> str:
     """An artifact's JSON: indented, keys sorted, one final newline."""
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 @dataclass(frozen=True)
-class MetricTable(Artifact):
+class MetricTable:
     """Evaluation report: per-threshold rows, mean rows, and the AUROC row."""
 
     rows: tuple[MetricValue, ...]

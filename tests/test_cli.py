@@ -148,6 +148,16 @@ def test_label_flags_with_a_blobs_dataset_are_refused(capsys, flags):
             in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("keep, shown", [("0", "0.0"), ("-0.5", "-0.5"),
+                                         ("1.5", "1.5"), ("nan", "nan")])
+def test_keep_fraction_outside_the_unit_interval_is_refused(
+        capsys, runners_unreached, keep, shown):
+    # subsample_positives' rule and wording, checked at spec time
+    assert main(["train", "--dataset", f"blobs:keep={keep}"]) == 1
+    assert capsys.readouterr().err == \
+        f"error: keep_fraction must lie in (0, 1], got {shown}\n"
+
+
 @pytest.mark.parametrize("command", ["train", "evaluate", "batch-sweep"])
 def test_single_model_commands_take_one_loss(tmp_path, capsys, command):
     # build_spec refuses the list before evaluate opens its checkpoint
@@ -371,44 +381,42 @@ def test_cli_output_is_byte_identical_across_runs(tmp_path):
 
 
 def test_train_then_evaluate_roundtrip(tmp_path, capsys):
+    # train's JSON --out is the test table, the same bytes evaluate writes
+    # for the checkpoint, the dataset, the seed and the scoring flags
+    flags = ["--dataset", TOY_DATA, "--loss", "f_1", "--seed", "5",
+             "--format", "json"]
     ckpt = tmp_path / "model.ckpt"
-    report = tmp_path / "report.json"
-    out = tmp_path / "train.json"
-    code = main(["train", "--dataset", TOY_DATA, "--loss", "f_1", *FAST,
-                 "--checkpoint", str(ckpt), "--report", str(report),
-                 "--format", "json", "--out", str(out)])
-    assert code == 0
-    assert "trained f_1" in capsys.readouterr().err
-
-    summary = json.loads(out.read_text())
-    assert "duration_seconds" not in summary     # deterministic artifact
-    assert summary["epochs_run"] >= 1
-    assert "duration_seconds" in json.loads(report.read_text())
-
-    eval_out = tmp_path / "eval.tsv"
-    code = main(["evaluate", "--dataset", TOY_DATA, "--seed", "5",
-                 "--checkpoint", str(ckpt), "--out", str(eval_out)])
-    assert code == 0
-    assert eval_out.read_text().startswith("metric\ttau\tvalue\tdefined")
-
-
-def test_train_json_is_the_report_without_its_duration(tmp_path):
-    # --out's JSON is the --report summary less duration_seconds, and its
-    # final_metrics is the table evaluate writes for the same flags
-    flags = ["--dataset", TOY_DATA, "--loss", "f_2", "--tau-grid", "0.3,0.6",
-             "--seed", "5", "--format", "json"]
-    ckpt, report = tmp_path / "m.ckpt", tmp_path / "report.json"
     trained, evaluated = tmp_path / "train.json", tmp_path / "eval.json"
     assert main(["train", *flags, *FAST[:6], "--checkpoint", str(ckpt),
-                 "--report", str(report), "--out", str(trained)]) == 0
+                 "--out", str(trained)]) == 0
+    assert "trained f_1" in capsys.readouterr().err
     assert main(["evaluate", *flags, "--checkpoint", str(ckpt),
                  "--out", str(evaluated)]) == 0
-    summary, full = json.loads(trained.read_text()), json.loads(
+    assert trained.read_bytes() == evaluated.read_bytes()
+    assert set(json.loads(trained.read_text())) == {"rows",
+                                                    "excluded_from_mean"}
+
+
+def test_train_report_keeps_the_histories_and_the_out_table(tmp_path):
+    # the run diagnostics go to --report only, with the --out table as
+    # final_metrics and the wall-clock duration_seconds
+    ckpt, report = tmp_path / "m.ckpt", tmp_path / "report.json"
+    trained = tmp_path / "train.json"
+    assert main(["train", "--dataset", TOY_DATA, "--loss", "f_2",
+                 "--tau-grid", "0.3,0.6", *FAST, "--format", "json",
+                 "--checkpoint", str(ckpt), "--report", str(report),
+                 "--out", str(trained)]) == 0
+    table, full = json.loads(trained.read_text()), json.loads(
         report.read_text())
-    assert isinstance(full.pop("duration_seconds"), float)
-    assert summary == full
-    assert summary["final_metrics"] == json.loads(evaluated.read_text())
-    assert "f_2" in {row["metric"] for row in summary["final_metrics"]["rows"]}
+    assert full["final_metrics"] == table
+    assert "f_2" in {row["metric"] for row in table["rows"]}
+    assert isinstance(full["duration_seconds"], float)
+    assert 1 <= full["best_epoch"] <= full["epochs_run"]
+    assert len(full["train_loss"]) == len(full["val_loss"]) == \
+        full["epochs_run"]
+    assert set(full) == {"train_loss", "val_loss", "epochs_run",
+                         "best_epoch", "best_val_loss", "skipped_batches",
+                         "duration_seconds", "final_metrics"}
 
 
 def run_cli(*argv):

@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import softstep.data
@@ -150,6 +150,14 @@ def test_subsample_deterministic_and_validated():
     all_neg = Dataset(np.zeros((4, 2)), np.zeros(4))
     with pytest.raises(ValueError):
         subsample_positives(all_neg, 0.5)
+
+
+@pytest.mark.parametrize("keep", [0.0, -0.5, 1.5, math.nan])
+def test_subsample_refuses_a_keep_fraction_outside_the_unit_interval(keep):
+    data = generate_blobs(n_per_class=60, seed=15)
+    message = f"^keep_fraction must lie in \\(0, 1\\], got {keep}$"
+    with pytest.raises(ValueError, match=message):
+        subsample_positives(data, keep)
 
 
 # ---------------------------------------------------------------------- csv
@@ -444,6 +452,51 @@ def test_split_constant_feature_scale_guard():
     split = standardize_and_split(data, seed=23)
     assert split.scale[1] == 1.0
     assert np.all(np.abs(split.train.features[:, 1]) < 1e-9)
+
+
+@pytest.mark.parametrize("value", [7.7e-200, 7.7, 1000000.1])
+def test_split_constant_feature_gets_scale_one_in_any_units(value):
+    # at 1000000.1 the train rows' std is 1.0e-9 of rounding error; an
+    # absolute guard of 1e-12 divided by it and made the column all -1
+    rng = np.random.default_rng(23)
+    feats = np.column_stack([rng.normal(size=100), np.full(100, value)])
+    split = standardize_and_split(Dataset(feats, rng.integers(0, 2, 100)),
+                                  seed=23)
+    assert split.scale[1] == 1.0
+    assert np.all(np.abs(split.train.features[:, 1]) <= 1e-14 * value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(k=st.integers(-400, 400), seed=st.integers(0, 2**16),
+       dims=st.integers(1, 4))
+@example(k=-43, seed=0, dims=3)     # blobs in units of about 1e-13
+def test_split_does_not_depend_on_power_of_two_units(k, seed, dims):
+    data = generate_blobs(n_per_class=30, sigma=8.0, dims=dims, seed=seed)
+    unit = 2.0 ** k
+    base = standardize_and_split(data, seed=seed)
+    scaled = standardize_and_split(Dataset(data.features * unit, data.labels),
+                                   seed=seed)
+    for part in ("train", "validation", "test"):
+        a, b = getattr(base, part), getattr(scaled, part)
+        assert a.features.tobytes() == b.features.tobytes()
+        assert a.labels.tobytes() == b.labels.tobytes()
+    assert (base.mean * unit).tobytes() == scaled.mean.tobytes()
+    assert (base.scale * unit).tobytes() == scaled.scale.tobytes()
+
+
+def test_split_refuses_a_feature_whose_spread_underflows():
+    # the squared deviations of 1e-300-sized steps are below the smallest
+    # subnormal, so the column varies but its std is 0
+    rng = np.random.default_rng(37)
+    feats = np.column_stack([rng.normal(size=60), np.arange(60) * 1e-300])
+    data = Dataset(feats, rng.integers(0, 2, 60))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^feature column 1: its "
+                                             r"train-split standard "
+                                             r"deviation underflows to "
+                                             r"zero$"):
+            standardize_and_split(data, seed=37)
 
 
 def test_split_refuses_a_feature_whose_statistics_overflow():

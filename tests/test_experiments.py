@@ -273,15 +273,11 @@ def test_result_table_tsv_schema():
     assert text.endswith("\n")
 
 
-def test_result_table_json_and_render():
+def test_result_table_json_and_has_errors():
     table = ResultTable(rows=sample_rows())
     payload = json.loads(table.to_json())
     assert payload[0]["mean"] == 0.5
     assert payload[1]["mean"] is None
-    assert table.render("tsv") == table.to_tsv()
-    assert table.render("json") == table.to_json()
-    with pytest.raises(ValueError):
-        table.render("yaml")
     assert table.has_errors
     assert not ResultTable(rows=sample_rows()[:1]).has_errors
 

@@ -78,7 +78,8 @@ MATRIX = {
         ["evaluate", "--dataset", TOY, "--loss", "f_1", "--seed", "0",
          "--checkpoint", "m.ckpt", "--out", "evaluate.tsv"]],
     # at beta 2 train scores its test table at the loss's beta, apart from
-    # training; evaluate then scores the checkpoint the same way
+    # training; evaluate then scores the checkpoint the same way, and both
+    # JSON tables are the same bytes
     "train-f2-json-report-evaluate": [
         ["train", "--dataset", TOY, "--loss", "f_2", "--tau-grid", "0.3,0.6",
          *FAST, "--seed", "0", "--format", "json", "--report", "report.json",
@@ -92,8 +93,8 @@ MATRIX = {
          "--loss", "accuracy,auroc", "--trials", "1", "--epochs", "5",
          "--window", "3", "--seed", "0", "--out", "grid.tsv"]],
     # refused at spec time: exit 1
-    "train-refused-beta": [
-        ["train", "--dataset", TOY, "--loss", "f_beta", "--beta", "inf"]],
+    "fbeta-sweep-refused-beta": [
+        ["fbeta-sweep", "--dataset", TOY, "--betas", "1,-2", "--trials", "1"]],
     "train-refused-f-inf": [["train", "--dataset", TOY, "--loss", "f_inf"]],
     # a tau the logistic fit reaches only by its retry from k = slope_mid;
     # the sigmoid_fit cells train and stall, so error rows and exit 2
