@@ -54,6 +54,14 @@ class LabeledBatch:
         object.__setattr__(self, "predictions", preds)
         object.__setattr__(self, "labels", labels)
 
+    @classmethod
+    def _of_checked(cls, predictions, labels) -> "LabeledBatch":
+        """The batch, unchecked: training passes logistic outputs, in [0, 1]
+        once ``_finite_or_diverged`` finds them finite, and Dataset labels."""
+        batch = object.__new__(cls)
+        batch.__dict__.update(predictions=predictions, labels=labels)
+        return batch
+
     @property
     def n(self) -> int:
         return len(self.predictions)

@@ -278,8 +278,7 @@ def standardize_and_split(data: Dataset, seed: int = 0) -> SplitDataset:
     Scale is the per-feature train standard deviation; a feature whose
     train max equals its min gets scale 1, so it passes through centered
     whatever its units.  A ValueError names the first feature (from 0)
-    whose statistics overflow, or whose spread underflows to a zero
-    standard deviation.
+    whose standard deviation underflows to zero in the data's units.
     """
     n = data.n
     n_train = int(round(SPLIT_FRACTIONS[0] * n))
@@ -293,25 +292,26 @@ def standardize_and_split(data: Dataset, seed: int = 0) -> SplitDataset:
     idx_train = perm[:n_train]
     idx_val = perm[n_train:n_train + n_val]
     idx_test = perm[n_train + n_val:]
-    train_feats = data.features[idx_train]
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean = train_feats.mean(axis=0)
-        scale = train_feats.std(axis=0)
-    overflowed = np.flatnonzero(~np.isfinite(mean) | ~np.isfinite(scale))
-    if overflowed.size:
-        raise ValueError(f"feature column {overflowed[0]}: its train-split "
-                         "mean or standard deviation overflows float64")
+    # dividing a column by the power of two that brings its largest |x|
+    # into [1, 2) keeps its statistics and x - mean in range, exactly
+    scaled = np.take(data.features, idx_train, axis=0)
+    _, exponent = np.frexp(np.abs(scaled).max(axis=0))
+    unit = np.ldexp(1.0, exponent - 1)
+    scaled /= unit
     # exact, so the rule does not depend on the data's units: a column
     # whose train rows all equal the first (max == min) gets scale 1
-    varies = (train_feats != train_feats[0]).any(axis=0)
-    underflowed = np.flatnonzero(varies & (scale == 0.0))
+    varies = (scaled != scaled[0]).any(axis=0)
+    mean = scaled.mean(axis=0) * unit
+    scale = np.where(varies, scaled.std(axis=0) * unit, 1.0)
+    underflowed = np.flatnonzero(scale == 0.0)
     if underflowed.size:
         raise ValueError(f"feature column {underflowed[0]}: its train-split "
                          "standard deviation underflows to zero")
-    scale = np.where(varies, scale, 1.0)
+    unit = np.where(varies, unit, 1.0)    # constants stay in their units
 
     def standardized(idx):
-        return Dataset((data.features[idx] - mean) / scale, data.labels[idx])
+        return Dataset((np.take(data.features, idx, axis=0) / unit
+                        - mean / unit) / (scale / unit), data.labels[idx])
 
     return SplitDataset(train=standardized(idx_train),
                         validation=standardized(idx_val),
@@ -324,10 +324,8 @@ def batches(data: Dataset, batch_size: int, seed: int, epoch: int):
 
     The order is keyed by (seed, epoch) so each epoch reshuffles and any
     epoch's order can be reproduced independently.  Callers gather the
-    batch's rows from ``data`` with the indices.
+    rows with the indices; ``TrainConfig`` checks ``batch_size`` >= 1.
     """
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     rng = np.random.default_rng(
         np.random.SeedSequence([seed, _TAG_BATCH, epoch]))
     perm = rng.permutation(data.n)

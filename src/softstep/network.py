@@ -50,7 +50,8 @@ class MlpModel:
     All parameters live in one contiguous float64 buffer ``flat``, in the
     order w0, b0, w1, b1, w2, b2 (the checkpoint order). ``weights`` and
     ``biases`` are tuples of views into it, so writing through a view or
-    through ``flat`` changes the same numbers.
+    through ``flat`` changes the same numbers. ``dropout_fractions`` holds
+    each rate as the (m, k) of ``check_dropout``, which forward reads.
     """
 
     weights: tuple
@@ -59,9 +60,8 @@ class MlpModel:
     flat: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        """Check that the layers chain and pack them into ``flat``."""
-        for rate in self.dropout_rates:
-            check_dropout(rate)
+        """Check the rates and that the layers chain; pack them into ``flat``."""
+        self.dropout_fractions = tuple(map(check_dropout, self.dropout_rates))
         weights = [np.asarray(w, dtype=float) for w in self.weights]
         biases = [np.asarray(b, dtype=float) for b in self.biases]
         if len(weights) != 3 or len(biases) != 3:
@@ -149,7 +149,7 @@ def forward(model: MlpModel, features: np.ndarray, train_mode: bool = False,
         # one array per layer: the affine map, then ReLU and dropout in place
         relu = activ @ model.weights[layer]
         relu += model.biases[layer]
-        m, k = check_dropout(model.dropout_rates[layer])
+        m, k = model.dropout_fractions[layer]
         mask = None
         if train_mode and m:
             runs = np.frombuffer(rng.bytes(k * -(-relu.size // 8)),
@@ -252,9 +252,6 @@ class AdamState:
 
     @classmethod
     def create(cls, model: MlpModel, lr: float = 0.001) -> "AdamState":
-        if not (np.isfinite(lr) and lr > 0.0):
-            raise ValueError(
-                f"learning rate must be positive and finite, got {lr}")
         return cls(m=np.zeros_like(model.flat), v=np.zeros_like(model.flat),
                    lr=lr)
 

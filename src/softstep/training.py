@@ -87,7 +87,7 @@ def _epoch_validation_loss(model, split, config):
     """The objective on the validation split, and the predictions it scored."""
     preds = forward(model, split.validation.features, train_mode=False).preds
     _finite_or_diverged(preds, "on the validation split")
-    batch = LabeledBatch(preds, split.validation.labels)
+    batch = LabeledBatch._of_checked(preds, split.validation.labels)
     loss, _ = objective_loss(batch, config.loss)
     return loss, preds
 
@@ -103,6 +103,8 @@ def _require_both_validation_classes(split, config):
             f"{validation.n}")
 
 
+# the finiteness checks report a divergence; numpy's warnings would repeat it
+@np.errstate(over="ignore", invalid="ignore")
 def train(model: MlpModel, split: SplitDataset, config: TrainConfig,
           step_callback=None) -> TrainReport:
     """Run the early-stopped loop; mutates ``model`` toward the best epoch.
@@ -123,15 +125,12 @@ def train(model: MlpModel, split: SplitDataset, config: TrainConfig,
     best_epoch = 0
     best_params = model.flat.copy()
     initial_preds = forward(model, split.validation.features).preds
-    stale = 0
     skipped = 0
     step = 0
     train_hist = []
     val_hist = []
-    epochs_run = 0
 
     for epoch in range(1, config.max_epochs + 1):
-        epochs_run = epoch
         loss_sum = 0.0
         seen = 0
         for idx in batches(split.train, config.batch_size, config.seed,
@@ -144,7 +143,7 @@ def train(model: MlpModel, split: SplitDataset, config: TrainConfig,
                                 f"at epoch {epoch}, step {step + 1}")
             try:
                 loss, loss_grad = objective_loss(
-                    LabeledBatch(fwd.preds, labels), config.loss)
+                    LabeledBatch._of_checked(fwd.preds, labels), config.loss)
             except UndefinedMetricError:
                 skipped += 1
                 continue
@@ -168,11 +167,8 @@ def train(model: MlpModel, split: SplitDataset, config: TrainConfig,
             best_val = val_loss
             best_epoch = epoch
             best_params = model.flat.copy()
-            stale = 0
-        else:
-            stale += 1
-            if stale >= config.window:
-                break
+        elif epoch - best_epoch >= config.window:
+            break
 
     # the last epoch's validation ran on the weights training ended with
     if step and np.array_equal(val_preds, initial_preds):
@@ -187,7 +183,7 @@ def train(model: MlpModel, split: SplitDataset, config: TrainConfig,
     return TrainReport(
         train_loss=tuple(train_hist),
         val_loss=tuple(val_hist),
-        epochs_run=epochs_run,
+        epochs_run=len(val_hist),
         best_epoch=best_epoch,
         best_val_loss=float(best_val),
         skipped_batches=skipped,

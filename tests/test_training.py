@@ -1,16 +1,19 @@
+import collections
 import dataclasses
 import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import softstep.network
 import softstep.training
 from softstep.confusion import LabeledBatch
 from softstep.data import (
     Dataset,
+    batches,
     generate_blobs,
     standardize_and_split,
     subsample_positives,
@@ -144,17 +147,61 @@ def test_history_lengths_respect_stopping():
 # ------------------------------------------------------ divergence handling
 
 
-def test_poisoned_parameters_raise_diverged_error():
+@settings(max_examples=60, deadline=None)
+@given(objective=st.sampled_from(["accuracy", "f_beta", "auroc", "bce"]),
+       value=st.sampled_from([np.nan, np.inf, -np.inf]),
+       k=st.integers(1, 12))
+@example(objective="bce", value=np.nan, k=1)    # 4 steps an epoch here
+@example(objective="bce", value=np.nan, k=3)
+@example(objective="bce", value=np.nan, k=4)
+def test_poisoned_parameters_raise_diverged_error(objective, value, k):
+    # a weight poisoned after step k is caught by the next forward: step
+    # k + 1's, or the validation's when step k ends its epoch
     split = small_split(seed=7, n_per_class=40)
-    config = TrainConfig(loss=LossConfig(objective="bce"), batch_size=16,
-                         max_epochs=5, window=3, seed=7)
+    config = TrainConfig(loss=LossConfig(objective=objective), batch_size=16,
+                         max_epochs=5, window=5, seed=7)
     model = fresh_model(split, config)
+    where = []
 
     def poison(mdl, epoch, step, idx):
-        mdl.weights[0][0, 0] = np.nan
+        if step == k:
+            mdl.weights[1][0, 0] = value
+            last = batches(split.train, config.batch_size, config.seed,
+                           epoch)[-1]
+            where.append("on the validation split"
+                         if np.array_equal(idx, last)
+                         else f"at epoch {epoch}, step {k + 1}")
 
-    with pytest.raises(TrainingDivergedError):
+    with pytest.raises(TrainingDivergedError) as caught:
         train(model, split, config, step_callback=poison)
+    assert where and str(caught.value) == f"non-finite predictions {where[0]}"
+
+
+def test_training_steps_do_not_check_their_inputs_again(monkeypatch):
+    # the model checked its dropout rates when it was built, the Dataset
+    # its labels, and _finite_or_diverged checks each pass's predictions
+    split = small_split(seed=7, n_per_class=40)
+    config = TrainConfig(loss=LossConfig(objective="f_beta"), batch_size=16,
+                         max_epochs=3, window=3, seed=7)
+    model = fresh_model(split, config)
+    calls = collections.Counter()
+
+    def counted(name, function):
+        def count(*args):
+            calls[name] += 1
+            return function(*args)
+        return count
+
+    monkeypatch.setattr(softstep.network, "check_dropout",
+                        counted("check_dropout",
+                                softstep.network.check_dropout))
+    monkeypatch.setattr(LabeledBatch, "__post_init__",
+                        counted("LabeledBatch", LabeledBatch.__post_init__))
+    assert train(model, split, config).epochs_run == 3
+    assert not calls
+    fresh_model(split, config)
+    LabeledBatch(np.array([0.5]), np.array([1.0]))
+    assert calls == {"check_dropout": 2, "LabeledBatch": 1}
 
 
 @pytest.mark.parametrize("loss, grad", [(np.nan, 0.0), (0.5, np.inf)])
