@@ -125,28 +125,27 @@ def f_beta(counts, beta: float = 1.0, tau=None) -> MetricValue:
 def fbeta_loss(batch: LabeledBatch, config: LossConfig):
     """1 - soft F-beta at ``config.tau_train`` and its gradient."""
     soft = soft_confusion(batch, config.train_stack)
-    tp, fp, fn, _ = soft.counts.T
+    # the head in Python floats: numpy's operations in its order, same bits
+    ((tp, fp, fn, _),) = soft.counts.tolist()
     w_fn, w_fp, guard = _fbeta_weights(config.beta)
     den = tp + w_fn * fn + w_fp * fp + guard
-    value = tp / den
-    scale = 1.0 / den ** 2
-    d_counts = np.array((-(w_fn * fn + w_fp * fp + guard) * scale,
-                         w_fp * tp * scale, w_fn * tp * scale, 0.0 * tp)).T
-    return 1.0 - float(value[0]), soft.grad(d_counts)
+    scale = 1.0 / (den * den)
+    d_counts = ((-(w_fn * fn + w_fp * fp + guard) * scale,
+                 w_fp * tp * scale, w_fn * tp * scale, 0.0 * tp),)
+    return 1.0 - tp / den, soft.grad(np.array(d_counts))
 
 
 def accuracy_loss(batch: LabeledBatch, config: LossConfig):
     """1 - soft accuracy at ``config.tau_train`` and its gradient."""
     soft = soft_confusion(batch, config.train_stack)
-    tp, fp, fn, tn = soft.counts.T
+    ((tp, fp, fn, tn),) = soft.counts.tolist()
     correct = tp + tn
     den = correct + fp + fn + EPSILON
-    value = correct / den
-    scale = 1.0 / den ** 2
+    scale = 1.0 / (den * den)
     d_correct = (correct - den) * scale
     d_wrong = correct * scale
-    d_counts = np.array((d_correct, d_wrong, d_wrong, d_correct)).T
-    return 1.0 - float(value[0]), soft.grad(d_counts)
+    d_counts = ((d_correct, d_wrong, d_wrong, d_correct),)
+    return 1.0 - correct / den, soft.grad(np.array(d_counts))
 
 
 def _require_both_classes(batch):
@@ -167,23 +166,28 @@ def auroc_soft_loss(batch: LabeledBatch, config: LossConfig):
     """
     _require_both_classes(batch)
     soft = soft_confusion(batch, config.grid_stack)
-    tp, fp, fn, tn = soft.counts.T
-    fpr_den = fp + tn + EPSILON
-    tpr_den = tp + fn + EPSILON
-    fpr = fp / fpr_den
-    order = np.argsort(fpr, kind="stable")
-    xs = np.concatenate(([0.0], fpr[order], [1.0]))
-    ys = np.concatenate(([0.0], (tp / tpr_den)[order], [1.0]))
-    # np.trapezoid's own formula; numpy < 2.0 names it np.trapz
-    area = float((np.diff(xs) * (ys[1:] + ys[:-1]) / 2.0).sum())
+    # the head in Python floats over the T thresholds' (tp, fp, fn, tn);
+    # sorted() is argsort's stable order
+    counts = soft.counts.tolist()
+    fpr_den = [fp + tn + EPSILON for _, fp, _, tn in counts]
+    tpr_den = [tp + fn + EPSILON for tp, _, fn, _ in counts]
+    fpr = [c[1] / den for c, den in zip(counts, fpr_den)]
+    order = sorted(range(len(counts)), key=fpr.__getitem__)
+    xs = [0.0] + [fpr[t] for t in order] + [1.0]
+    ys = [0.0] + [counts[t][0] / tpr_den[t] for t in order] + [1.0]
+    # np.trapezoid's own terms, summed by numpy (pairwise above 8 terms)
+    area = float(np.array([(xs[j + 1] - xs[j]) * (ys[j + 1] + ys[j]) / 2.0
+                           for j in range(len(xs) - 1)]).sum())
     # trapezoid area derivative at each interior vertex, neighbors fixed,
     # in threshold order and divided by the rate denominators
-    unsort = np.argsort(order)
-    da_dx = 0.5 * (ys[:-2] - ys[2:])[unsort] / fpr_den ** 2
-    da_dy = 0.5 * (xs[2:] - xs[:-2])[unsort] / tpr_den ** 2
-    d_counts = np.array((-(fn + EPSILON) * da_dy, -(tn + EPSILON) * da_dx,
-                         tp * da_dy, fp * da_dx)).T
-    return 1.0 - area, soft.grad(d_counts)
+    d_counts = [None] * len(counts)
+    for j, t in enumerate(order):
+        tp, fp, fn, tn = counts[t]
+        da_dx = 0.5 * (ys[j] - ys[j + 2]) / (fpr_den[t] * fpr_den[t])
+        da_dy = 0.5 * (xs[j + 2] - xs[j]) / (tpr_den[t] * tpr_den[t])
+        d_counts[t] = (-(fn + EPSILON) * da_dy, -(tn + EPSILON) * da_dx,
+                       tp * da_dy, fp * da_dx)
+    return 1.0 - area, soft.grad(np.array(d_counts))
 
 
 def bce_loss(batch: LabeledBatch, config: LossConfig | None = None):

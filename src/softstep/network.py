@@ -125,14 +125,38 @@ class Pass(NamedTuple):
     masks: tuple
 
 
+class DropoutBytes:
+    """The bytes of successive ``rng.bytes(n)`` calls, drawn in blocks.
+
+    ``Generator.bytes(n)`` is the first n bytes of the next ⌈n/4⌉ uint32
+    words of a stream that does not depend on where it is cut; this draws
+    ``BLOCK`` words (64 KiB) at a time and cuts them the same way."""
+
+    BLOCK = 1 << 14
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng, self._words, self._start = rng, b"", 0
+
+    def bytes(self, n: int) -> bytes:
+        count = -(-n // 4)
+        start = self._start
+        if start + n > len(self._words):
+            self._words = self._words[start:] + self._rng.bytes(
+                4 * max(self.BLOCK, count))
+            start = 0
+        self._start = start + 4 * count
+        return self._words[start:start + n]
+
+
 def forward(model: MlpModel, features: np.ndarray, train_mode: bool = False,
             rng: np.random.Generator | None = None) -> Pass:
     """The Pass of a feature matrix of shape (n, input_dim); preds in (0,1).
 
     train_mode applies inverted dropout after each hidden ReLU and requires
-    an rng; eval mode is deterministic. The model is not changed. At a rate
-    m / 2^k a unit is kept when k bits of ``rng.bytes`` read as u give
-    u >= m (README, "Forward pass"), and scaled by 2^k / (2^k - m).
+    an rng, a Generator or the DropoutBytes that training wraps it in; eval
+    mode is deterministic. The model is not changed. At a rate m / 2^k a
+    unit is kept when k bits of ``rng.bytes`` read as u give u >= m
+    (README, "Forward pass"), and scaled by 2^k / (2^k - m).
     """
     x = np.asarray(features, dtype=float)
     if x.ndim != 2:
@@ -224,15 +248,18 @@ def backward(model: MlpModel, loss_grad: np.ndarray, fwd: Pass) -> np.ndarray:
         raise ValueError(f"loss_grad shape {loss_grad.shape} does not match "
                          f"the pass's {preds.shape} predictions")
 
+    # bias sums as ones @ a, a BLAS gemv: 3.8 against 11.9 us for
+    # a.sum(axis=0) at 256 x 32, in another summation order
+    ones = np.ones(len(preds))
     dz = (loss_grad * preds * (1.0 - preds))[:, None]
-    grads = [fwd.hidden[1].T @ dz, dz.sum(axis=0)]    # w2, b2
-    da = dz * model.weights[2][:, 0]    # dz @ w2.T, one product an entry
+    grads = [fwd.hidden[1].T @ dz, ones @ dz]    # w2, b2
+    da = dz @ model.weights[2].T    # one product an entry, as dz * w2
     for layer in (1, 0):
         # a train pass's mask holds the ReLU gate; else a > 0 is z > 0
         mask = fwd.masks[layer]
         da *= fwd.hidden[layer] > 0.0 if mask is None else mask
         inputs = fwd.hidden[0] if layer == 1 else fwd.x
-        grads += [inputs.T @ da, da.sum(axis=0)]
+        grads += [inputs.T @ da, ones @ da]
         if layer == 1:
             da = da @ model.weights[1].T
     # unrolled: inside a training step this measured about 6 us per call

@@ -24,6 +24,7 @@ from softstep.metrics import (
     MetricValue,
     TAU_GRID_DEFAULT,
     UndefinedMetricError,
+    _fbeta_weights,
     accuracy,
     accuracy_loss,
     auroc_hard,
@@ -611,3 +612,103 @@ def test_metric_table_reports_exclusions_in_tsv():
     table = evaluate_over_grid(LabeledBatch(preds, labels))
     assert "# excluded_from_mean:" in table.to_tsv()
     assert "precision=9" in table.to_tsv()
+
+
+# ------------------------------ the loss heads in Python floats, pinned
+
+
+def numpy_fbeta_loss(batch, config):
+    """fbeta_loss with its head in numpy arrays, the form it replaced."""
+    soft = soft_confusion(batch, config.train_stack)
+    tp, fp, fn, _ = soft.counts.T
+    w_fn, w_fp, guard = _fbeta_weights(config.beta)
+    den = tp + w_fn * fn + w_fp * fp + guard
+    value = tp / den
+    scale = 1.0 / den ** 2
+    d_counts = np.array((-(w_fn * fn + w_fp * fp + guard) * scale,
+                         w_fp * tp * scale, w_fn * tp * scale, 0.0 * tp)).T
+    return 1.0 - float(value[0]), soft.grad(d_counts)
+
+
+def numpy_accuracy_loss(batch, config):
+    """accuracy_loss with its head in numpy arrays, the form it replaced."""
+    soft = soft_confusion(batch, config.train_stack)
+    tp, fp, fn, tn = soft.counts.T
+    correct = tp + tn
+    den = correct + fp + fn + EPSILON
+    value = correct / den
+    scale = 1.0 / den ** 2
+    d_correct = (correct - den) * scale
+    d_wrong = correct * scale
+    d_counts = np.array((d_correct, d_wrong, d_wrong, d_correct)).T
+    return 1.0 - float(value[0]), soft.grad(d_counts)
+
+
+def numpy_auroc_soft_loss(batch, config):
+    """auroc_soft_loss with its head in numpy arrays, the form it replaced."""
+    soft = soft_confusion(batch, config.grid_stack)
+    tp, fp, fn, tn = soft.counts.T
+    fpr_den = fp + tn + EPSILON
+    tpr_den = tp + fn + EPSILON
+    fpr = fp / fpr_den
+    order = np.argsort(fpr, kind="stable")
+    xs = np.concatenate(([0.0], fpr[order], [1.0]))
+    ys = np.concatenate(([0.0], (tp / tpr_den)[order], [1.0]))
+    area = float((np.diff(xs) * (ys[1:] + ys[:-1]) / 2.0).sum())
+    unsort = np.argsort(order)
+    da_dx = 0.5 * (ys[:-2] - ys[2:])[unsort] / fpr_den ** 2
+    da_dy = 0.5 * (xs[2:] - xs[:-2])[unsort] / tpr_den ** 2
+    d_counts = np.array((-(fn + EPSILON) * da_dy, -(tn + EPSILON) * da_dx,
+                         tp * da_dy, fp * da_dx)).T
+    return 1.0 - area, soft.grad(d_counts)
+
+
+grid_taus = (0.1, 0.2, 0.3, 0.5, 0.7, 0.9)
+
+
+@st.composite
+def two_class_batches(draw, taus):
+    """Predictions that sit at 0, at 1 and on a threshold, besides any
+    others, and labels of both classes."""
+    n = draw(st.integers(2, 40))
+    marked = st.sampled_from((0.0, 1.0) + tuple(taus))
+    preds = draw(arrays(float, n, elements=st.one_of(st.floats(0.0, 1.0),
+                                                      marked)))
+    labels = draw(arrays(float, n, elements=labels_01))
+    labels[:2] = 0.0, 1.0
+    return LabeledBatch(preds, labels)
+
+
+def assert_same_bits(got, expected):
+    """The same loss, with the sign of a zero, and the same gradient bytes."""
+    (loss, grad), (ref_loss, ref_grad) = got, expected
+    assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
+    assert grad.tobytes() == ref_grad.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), tau=st.sampled_from(grid_taus), family=surrogates,
+       beta=st.floats(0.5, 4.0), objective=st.sampled_from(
+           ("accuracy", "f_beta")))
+def test_single_threshold_heads_keep_the_numpy_bits(data, tau, family, beta,
+                                                    objective):
+    batch = data.draw(two_class_batches((tau,)))
+    config = LossConfig(objective=objective, beta=beta, tau_train=tau,
+                        approximation=family)
+    reference = (numpy_accuracy_loss if objective == "accuracy"
+                 else numpy_fbeta_loss)
+    assert_same_bits(objective_loss(batch, config),
+                     reference(batch, config))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), family=surrogates,
+       grid=st.lists(st.sampled_from(grid_taus), min_size=1, max_size=12))
+def test_auroc_head_keeps_the_numpy_bits(data, family, grid):
+    # a threshold listed twice, or predictions that all clear a few
+    # thresholds, tie those thresholds' FPRs
+    batch = data.draw(two_class_batches(grid))
+    config = LossConfig(objective="auroc", tau_grid=tuple(grid),
+                        approximation=family)
+    assert_same_bits(auroc_soft_loss(batch, config),
+                     numpy_auroc_soft_loss(batch, config))

@@ -3,13 +3,14 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from softstep.confusion import LabeledBatch
 from softstep.metrics import LossConfig, bce_loss, fbeta_loss
 from softstep.network import (
     AdamState,
+    DropoutBytes,
     EvalKernel,
     MlpModel,
     Pass,
@@ -197,16 +198,32 @@ def test_broadcast_outer_product_equals_the_k1_matmul(seed, rows,
     assert np.array_equal(dz * w[:, 0], dz @ w.T)
 
 
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 4096),
+       width=st.sampled_from((1, 16, 32)), log_scale=st.floats(-4.0, 4.0))
+def test_blas_bias_sums_are_column_sums_within_rounding(seed, rows, width,
+                                                        log_scale):
+    # backward's ones @ a sums each column in BLAS's order, not numpy's
+    # pairwise one; any two orders of n terms differ by at most
+    # (n - 1) 2^-52 sum |a| per column
+    rng = np.random.default_rng(seed)
+    a = rng.normal(scale=10.0 ** log_scale, size=(rows, width))
+    bound = rows * 2.0 ** -52 * np.abs(a).sum(axis=0)
+    assert np.all(np.abs(np.ones(rows) @ a - a.sum(axis=0)) <= bound)
+
+
 def gated_backward_reference(model, loss_grad, preds, x, hidden, masks):
-    """backward() as it was: each dropout mask, then the gate a > 0."""
+    """backward() with each dropout mask, then the gate a > 0, as before
+    the gate was folded into the masks; the bias sums are backward's."""
+    ones = np.ones(len(preds))
     dz = (loss_grad * preds * (1.0 - preds))[:, None]
-    grads = [hidden[1].T @ dz, dz.sum(axis=0)]
+    grads = [hidden[1].T @ dz, ones @ dz]
     da = dz * model.weights[2][:, 0]
     for layer in (1, 0):
         da *= masks[layer]
         da *= hidden[layer] > 0.0
         inputs = hidden[0] if layer == 1 else x
-        grads += [inputs.T @ da, da.sum(axis=0)]
+        grads += [inputs.T @ da, ones @ da]
         if layer == 1:
             da = da @ model.weights[1].T
     w2, b2, w1, b1, w0, b0 = grads
@@ -524,6 +541,24 @@ def test_mask_bits_are_independent_bernoulli_draws(rate):
             assert abs((first & second).mean() - p_keep ** 2) < 0.004
             assert abs(np.corrcoef(first.ravel(), second.ravel())[0, 1]) \
                 < 0.006
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1),
+       block=st.one_of(st.none(), st.integers(1, 2048)),
+       sizes=st.lists(st.integers(1, 5000), min_size=1, max_size=40))
+@example(seed=0, block=None, sizes=[4999] * 14 + [1, 2, 3, 5, 4096])
+@example(seed=1, block=1, sizes=[1, 5, 3, 4, 9, 8, 2])
+def test_dropout_bytes_are_the_generators_bytes(seed, block, sizes):
+    # any request sizes, odd ones and those that are not whole words,
+    # across block refills: the bytes of successive Generator.bytes calls
+    # on a twin generator
+    source = DropoutBytes(np.random.default_rng(seed))
+    if block is not None:
+        source.BLOCK = block
+    twin = np.random.default_rng(seed)
+    for n in sizes:
+        assert source.bytes(n) == twin.bytes(n)
 
 
 def test_check_dropout_refuses_a_rate_that_rounds_to_one():

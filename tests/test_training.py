@@ -105,8 +105,8 @@ def test_train_fixed_seed_reproduces_report_and_model():
 
 def validation_loss_of(value):
     """A stand-in for ``_epoch_validation_loss`` that reports ``value``."""
-    def validate(model, split, config):
-        return value, forward(model, split.validation.features).preds
+    def validate(model, split, config, kernel):
+        return value, kernel(model)
     return validate
 
 

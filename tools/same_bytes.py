@@ -3,12 +3,13 @@ working tree, and report every output that differs.
 
     python tools/same_bytes.py --base REV [--expect-diff NAME ...]
 
-REV is checked out into a temporary git worktree outside the repository,
-which is removed afterwards.  Each case of MATRIX runs its commands in an
-empty directory of its own, once under each tree's ``src``, with BLAS on
-one thread.  Compared per case: each command's stdout, its stderr with
-durations masked, its exit code, and every file the case leaves behind,
-with ``duration_seconds`` masked in JSON files.
+REV's committed files are exported into a temporary directory outside
+the repository (checkout.py), which is removed afterwards.  Each case of
+MATRIX runs its commands in an empty directory of its own, once under each
+tree's ``src``, with BLAS on one thread.  Compared per case: each
+command's stdout, its stderr with durations masked, its exit code, and
+every file the case leaves behind, with ``duration_seconds`` masked in
+JSON files.
 
 A case that is meant to differ is named with ``--expect-diff``; its
 differences are printed but do not fail the run, and an expected case
@@ -28,7 +29,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-REPO = Path(__file__).resolve().parents[1]
+from checkout import REPO, export, git, resolve
 
 TOY = "blobs:n_per_class=60,sigma=8"
 FAST = ["--epochs", "3", "--window", "3", "--batch-size", "32"]
@@ -208,11 +209,6 @@ def compare_case(steps, base_runs, head_runs, base_files, head_files) -> list:
     return found
 
 
-def git(*args) -> str:
-    return subprocess.run(["git", "-C", str(REPO), *args], check=True,
-                          capture_output=True, text=True).stdout.strip()
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True,
@@ -223,9 +219,8 @@ def main(argv=None) -> int:
     unknown = sorted(set(args.expect_diff) - set(MATRIX))
     if unknown:
         parser.error(f"no matrix case named {', '.join(unknown)}")
-    try:
-        base_rev = git("rev-parse", "--verify", f"{args.base}^{{commit}}")
-    except subprocess.CalledProcessError:
+    base_rev = resolve(args.base)
+    if base_rev is None:
         parser.error(f"not a commit: {args.base}")
 
     listed = subprocess.run(
@@ -245,8 +240,7 @@ def main(argv=None) -> int:
     scratch = Path(tempfile.mkdtemp(prefix="same_bytes_"))
     base_tree = scratch / "base-tree"
     try:
-        git("worktree", "add", "--detach", "--quiet", str(base_tree),
-            base_rev)
+        export(base_rev, base_tree)
         for name, steps in MATRIX.items():
             runs = {side: run_case(tree / "src", scratch / side / name, steps)
                     for side, tree in (("base", base_tree), ("head", REPO))}
@@ -266,10 +260,6 @@ def main(argv=None) -> int:
             if bool(found) != (name in args.expect_diff):
                 unexpected.append(name)
     finally:
-        subprocess.run(["git", "-C", str(REPO), "worktree", "remove",
-                        "--force", str(base_tree)], capture_output=True)
-        subprocess.run(["git", "-C", str(REPO), "worktree", "prune"],
-                       capture_output=True)
         shutil.rmtree(scratch, ignore_errors=True)
     if unexpected:
         print(f"{len(unexpected)} of {len(MATRIX)} cases not as expected: "
